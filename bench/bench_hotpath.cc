@@ -1,31 +1,36 @@
-// Scoring hot-path microbenchmark: per RankingFunction class and per block
-// size, compares three generations of the scoring inner loop —
-//   scalar  the pre-batch loop (gather a point vector + one virtual
-//           Evaluate per tuple),
-//   batch   the column-direct EvaluateBatch path (one virtual call per
-//           block reading rank_col() directly) on a scrambled tid stream,
-//           the access pattern of a random retrieve step,
+// Scoring hot-path microbenchmark: per function shape and per block size,
+// compares three scoring inner loops —
+//   scalar  gather a point vector + one virtual Evaluate per tuple (the
+//           ScoreExpr tree walk every function's Evaluate is),
+//   batch   the column-direct per-dimension loops the function classes
+//           carried before every ranking function became one ScoreExpr
+//           tree, kept here verbatim as the bench's fixed reference, on a
+//           scrambled tid stream (the access pattern of a random retrieve
+//           step),
 //   fused   the specialized kernel layer (func/kernels/) on a scan-order
 //           stream, where every block is a consecutive tid run and takes
 //           the vectorized dense loop — the pattern every scan call site
 //           (table scan, delta overlay, grid blocks) feeds it,
 // plus the OfferBatch threshold filter against per-tuple Offer and a
 // whole-pipeline section (predicate filter + score + threshold offer,
-// fused vs the row-at-a-time loop the engines used to run). Like
-// bench_parallel it needs no google-benchmark, always builds, and emits a
-// machine-readable JSON report (BENCH_hotpath.json) so the scoring
-// throughput trajectory is tracked commit over commit.
+// fused vs a row-at-a-time filter feeding the reference loops). It needs
+// no google-benchmark, always builds, and emits a machine-readable JSON
+// report (BENCH_hotpath.json) so the scoring throughput trajectory is
+// tracked commit over commit.
 //
 // Usage:
 //   bench_hotpath [--rows=N] [--reps=N] [--seed=N] [--json=PATH] [--smoke]
 //
 // The default --rows matches the repository's laptop-scale bench convention
 // (bench_parallel uses the same 20k-row synthetic relation): columns stay
-// cache-resident, so the figures isolate scoring *compute* throughput —
-// the gather + virtual-dispatch overhead the batch path removes. Larger
-// --rows shifts the scrambled paths toward memory-bound random column
-// gathers and compresses that gap; the dense fused loop reads columns
-// sequentially and keeps vectorizing in either regime.
+// cache-resident, so the figures isolate scoring *compute* throughput.
+// Larger --rows shifts the scrambled paths toward memory-bound random
+// column gathers and compresses the gaps; the dense fused loop reads
+// columns sequentially and keeps vectorizing in either regime.
+//
+// Every pass is also a parity check: the reference loops, the kernels and
+// the generic gather-and-Evaluate loop (RANKCUBE_FUSED_KERNELS=0) must all
+// reproduce the scalar scores bit for bit.
 //
 // --smoke shrinks rows/reps to a few milliseconds of work AND enforces
 // floor ratios on the fused-vs-batch speedups; CI runs it so a change that
@@ -34,7 +39,9 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -96,10 +103,9 @@ Flags ParseFlags(int argc, char** argv) {
   return f;
 }
 
-/// The pre-batch inner loop, kept verbatim as the baseline: per tuple, a
-/// gather into a point vector and one virtual Evaluate call. The point
-/// buffer is caller-provided scratch, hoisted out of the timed per-block
-/// calls exactly as the engines hoisted it out of their scan loops.
+/// The scalar inner loop: per tuple, a gather into a point vector and one
+/// virtual Evaluate call. The point buffer is caller-provided scratch,
+/// hoisted out of the timed per-block calls.
 void ScalarScore(const Table& table, const RankingFunction& f,
                  const Tid* tids, size_t n, std::vector<double>* point,
                  double* out) {
@@ -110,6 +116,117 @@ void ScalarScore(const Table& table, const RankingFunction& f,
     }
     out[i] = f.Evaluate(point->data());
   }
+}
+
+/// One block of scores: out[i] = f(tids[i]).
+using BatchLoop =
+    std::function<void(const Table&, const Tid*, size_t, double*)>;
+
+// The reference loops: one pass per involved dimension over the block,
+// terms in ascending dimension order — the fold order of Evaluate, so the
+// scores are bit-identical to it while the inner loops auto-vectorize.
+
+BatchLoop LinearLoop(std::vector<double> w, bool squared) {
+  return [w = std::move(w), squared](const Table& table, const Tid* tids,
+                                     size_t n, double* out) {
+    std::fill(out, out + n, 0.0);
+    for (size_t d = 0; d < w.size(); ++d) {
+      if (w[d] == 0.0) continue;
+      const double* col = table.rank_col(static_cast<int>(d));
+      const double wd = w[d];
+      for (size_t i = 0; i < n; ++i) out[i] += wd * col[tids[i]];
+    }
+    if (squared) {
+      for (size_t i = 0; i < n; ++i) out[i] *= out[i];
+    }
+  };
+}
+
+BatchLoop QuadraticLoop(std::vector<double> w, std::vector<double> t) {
+  return [w = std::move(w), t = std::move(t)](const Table& table,
+                                              const Tid* tids, size_t n,
+                                              double* out) {
+    std::fill(out, out + n, 0.0);
+    for (size_t d = 0; d < w.size(); ++d) {
+      if (w[d] == 0.0) continue;
+      const double* col = table.rank_col(static_cast<int>(d));
+      const double wd = w[d], td = t[d];
+      for (size_t i = 0; i < n; ++i) {
+        const double diff = col[tids[i]] - td;
+        out[i] += wd * diff * diff;
+      }
+    }
+  };
+}
+
+BatchLoop L1Loop(std::vector<double> w, std::vector<double> t) {
+  return [w = std::move(w), t = std::move(t)](const Table& table,
+                                              const Tid* tids, size_t n,
+                                              double* out) {
+    std::fill(out, out + n, 0.0);
+    for (size_t d = 0; d < w.size(); ++d) {
+      if (w[d] == 0.0) continue;
+      const double* col = table.rank_col(static_cast<int>(d));
+      const double wd = w[d], td = t[d];
+      for (size_t i = 0; i < n; ++i) {
+        out[i] += wd * std::abs(col[tids[i]] - td);
+      }
+    }
+  };
+}
+
+BatchLoop GeneralABLoop(int a, int b) {
+  return [a, b](const Table& table, const Tid* tids, size_t n, double* out) {
+    const double* ca = table.rank_col(a);
+    const double* cb = table.rank_col(b);
+    for (size_t i = 0; i < n; ++i) {
+      const Tid t = tids[i];
+      const double diff = ca[t] - cb[t] * cb[t];
+      out[i] = diff * diff;
+    }
+  };
+}
+
+BatchLoop ConstrainedSumLoop(int a, int b, double lo, double hi) {
+  return [a, b, lo, hi](const Table& table, const Tid* tids, size_t n,
+                        double* out) {
+    const double* ca = table.rank_col(a);
+    const double* cb = table.rank_col(b);
+    for (size_t i = 0; i < n; ++i) {
+      const Tid t = tids[i];
+      const double v = cb[t];
+      out[i] = (v < lo || v > hi) ? kInfScore : ca[t] + v;
+    }
+  };
+}
+
+/// A benchmarked function: the library's builder and its reference loop,
+/// made from the same parameters.
+struct Subject {
+  std::string name;
+  RankingFunctionPtr f;
+  BatchLoop batch;
+};
+
+/// Scores `tids` block by block and compares with `expect`, bitwise.
+bool SameScores(const char* path, const std::string& name,
+                const std::vector<Tid>& tids, size_t block,
+                const std::vector<double>& expect, std::vector<double>* got,
+                const std::function<void(const Tid*, size_t, double*)>& run) {
+  for (size_t off = 0; off < tids.size(); off += block) {
+    size_t n = std::min(block, tids.size() - off);
+    run(tids.data() + off, n, got->data() + off);
+  }
+  for (size_t i = 0; i < tids.size(); ++i) {
+    if (expect[i] != (*got)[i]) {
+      std::fprintf(stderr,
+                   "PARITY FAILURE: %s block=%zu tid=%u scalar=%.17g "
+                   "%s=%.17g\n",
+                   name.c_str(), block, tids[i], expect[i], path, (*got)[i]);
+      return false;
+    }
+  }
+  return true;
 }
 
 struct Row {
@@ -175,23 +292,28 @@ int Main(int argc, char** argv) {
     scan_tids[t] = t;
   }
 
-  std::vector<std::pair<std::string, RankingFunctionPtr>> funcs;
-  funcs.emplace_back("linear", std::make_shared<LinearFunction>(
-                                   std::vector<double>{0.4, 0.3, 0.2, 0.1}));
-  funcs.emplace_back("quadratic",
-                     std::make_shared<QuadraticDistance>(
-                         std::vector<double>{1.0, 1.0, 1.0, 1.0},
-                         std::vector<double>{0.2, 0.4, 0.6, 0.8}));
-  funcs.emplace_back("l1", std::make_shared<L1Distance>(
-                               std::vector<double>{1.0, 0.5, 0.25, 0.125},
-                               std::vector<double>{0.5, 0.5, 0.5, 0.5}));
-  funcs.emplace_back("squared_linear",
-                     std::make_shared<SquaredLinear>(
-                         std::vector<double>{2.0, -1.0, -1.0, 0.5}));
-  funcs.emplace_back("general_ab",
-                     std::make_shared<GeneralAB>(kRankDims, 0, 1));
-  funcs.emplace_back("constrained_sum", std::make_shared<ConstrainedSum>(
-                                            kRankDims, 0, 1, 0.25, 0.75));
+  const std::vector<double> lin_w = {0.4, 0.3, 0.2, 0.1};
+  const std::vector<double> quad_w = {1.0, 1.0, 1.0, 1.0};
+  const std::vector<double> quad_t = {0.2, 0.4, 0.6, 0.8};
+  const std::vector<double> l1_w = {1.0, 0.5, 0.25, 0.125};
+  const std::vector<double> l1_t = {0.5, 0.5, 0.5, 0.5};
+  const std::vector<double> sq_w = {2.0, -1.0, -1.0, 0.5};
+  std::vector<Subject> funcs;
+  funcs.push_back({"linear", std::make_shared<LinearFunction>(lin_w),
+                   LinearLoop(lin_w, false)});
+  funcs.push_back({"quadratic",
+                   std::make_shared<QuadraticDistance>(quad_w, quad_t),
+                   QuadraticLoop(quad_w, quad_t)});
+  funcs.push_back({"l1", std::make_shared<L1Distance>(l1_w, l1_t),
+                   L1Loop(l1_w, l1_t)});
+  funcs.push_back({"squared_linear", std::make_shared<SquaredLinear>(sq_w),
+                   LinearLoop(sq_w, true)});
+  funcs.push_back({"general_ab", std::make_shared<GeneralAB>(kRankDims, 0, 1),
+                   GeneralABLoop(0, 1)});
+  funcs.push_back(
+      {"constrained_sum",
+       std::make_shared<ConstrainedSum>(kRankDims, 0, 1, 0.25, 0.75),
+       ConstrainedSumLoop(0, 1, 0.25, 0.75)});
 
   const size_t block_sizes[] = {64, 256, 1024, 4096};
   std::vector<Row> rows;
@@ -202,48 +324,40 @@ int Main(int argc, char** argv) {
   double sink = 0.0;
   bool smoke_failed = false;
 
-  for (const auto& [name, f] : funcs) {
+  for (const auto& [name, f, batch] : funcs) {
     kernels::BlockEvaluator eval(table, *f);
     if (!eval.fused()) {
       std::fprintf(stderr, "DISPATCH FAILURE: %s has no fused kernel\n",
                    name.c_str());
       return 1;
     }
+    setenv("RANKCUBE_FUSED_KERNELS", "0", 1);
+    kernels::BlockEvaluator generic(table, *f);
+    unsetenv("RANKCUBE_FUSED_KERNELS");
     for (size_t block : block_sizes) {
-      // One warm pass each, also used as a correctness check: the batch
-      // path must reproduce the scalar scores bit for bit, and so must the
-      // fused kernel on the scan-order stream.
+      // One warm pass each, also used as a correctness check: the reference
+      // loop and the generic loop must reproduce the scalar scores bit for
+      // bit on the scrambled stream, and so must the fused kernel on the
+      // scan-order stream.
       ScalarScore(table, *f, tids.data(), tids.size(), &point,
                   scalar_out.data());
-      for (size_t off = 0; off < tids.size(); off += block) {
-        size_t n = std::min(block, tids.size() - off);
-        f->EvaluateBatch(table, tids.data() + off, n, batch_out.data() + off);
-      }
-      for (size_t i = 0; i < tids.size(); ++i) {
-        if (scalar_out[i] != batch_out[i]) {
-          std::fprintf(stderr,
-                       "PARITY FAILURE: %s block=%zu tid=%u scalar=%.17g "
-                       "batch=%.17g\n",
-                       name.c_str(), block, tids[i], scalar_out[i],
-                       batch_out[i]);
-          return 1;
-        }
+      if (!SameScores("batch", name, tids, block, scalar_out, &batch_out,
+                      [&](const Tid* t, size_t n, double* o) {
+                        batch(table, t, n, o);
+                      }) ||
+          !SameScores("generic", name, tids, block, scalar_out, &fused_out,
+                      [&](const Tid* t, size_t n, double* o) {
+                        generic.Score(t, n, o);
+                      })) {
+        return 1;
       }
       ScalarScore(table, *f, scan_tids.data(), scan_tids.size(), &point,
                   scalar_out.data());
-      for (size_t off = 0; off < scan_tids.size(); off += block) {
-        size_t n = std::min(block, scan_tids.size() - off);
-        eval.Score(scan_tids.data() + off, n, fused_out.data() + off);
-      }
-      for (size_t i = 0; i < scan_tids.size(); ++i) {
-        if (scalar_out[i] != fused_out[i]) {
-          std::fprintf(stderr,
-                       "PARITY FAILURE: %s block=%zu tid=%u scalar=%.17g "
-                       "fused=%.17g\n",
-                       name.c_str(), block, scan_tids[i], scalar_out[i],
-                       fused_out[i]);
-          return 1;
-        }
+      if (!SameScores("fused", name, scan_tids, block, scalar_out,
+                      &fused_out, [&](const Tid* t, size_t n, double* o) {
+                        eval.Score(t, n, o);
+                      })) {
+        return 1;
       }
 
       // Best of N trials per path: the minimum is the least-disturbed
@@ -267,8 +381,7 @@ int Main(int argc, char** argv) {
         for (int rep = 0; rep < flags.reps; ++rep) {
           for (size_t off = 0; off < tids.size(); off += block) {
             size_t n = std::min(block, tids.size() - off);
-            f->EvaluateBatch(table, tids.data() + off, n,
-                             batch_out.data() + off);
+            batch(table, tids.data() + off, n, batch_out.data() + off);
           }
           sink += batch_out[0];
         }
@@ -317,8 +430,7 @@ int Main(int argc, char** argv) {
   // the heap saturates, whole blocks fail the S_k bound with n compares.
   std::vector<OfferRow> offer_rows;
   {
-    const auto& f = *funcs.front().second;
-    f.EvaluateBatch(table, tids.data(), tids.size(), batch_out.data());
+    funcs.front().batch(table, tids.data(), tids.size(), batch_out.data());
     for (int k : {10, 100}) {
       double offer_ms = kInfScore;
       double batch_ms = kInfScore;
@@ -367,9 +479,9 @@ int Main(int argc, char** argv) {
   }
 
   // Whole-pipeline section: predicate filter + score + threshold offer over
-  // the full relation (the table-scan shape), fused vs the row-at-a-time
-  // loop the engines ran before the kernel layer. One equality predicate at
-  // ~1/8 selectivity; k=10.
+  // the full relation (the table-scan shape), fused vs a row-at-a-time
+  // filter feeding the reference loops in blocks of 1024. One equality
+  // predicate at ~1/8 selectivity; k=10.
   std::vector<PipelineRow> pipeline_rows;
   {
     const std::vector<Predicate> preds = {{0, 3}};
@@ -378,7 +490,7 @@ int Main(int argc, char** argv) {
     std::vector<Tid> block_tids;
     std::vector<double> block_scores;
     ExecStats pipe_stats;
-    for (const auto& [name, f] : funcs) {
+    for (const auto& [name, f, batch] : funcs) {
       double legacy_ms = kInfScore;
       double fused_ms = kInfScore;
       std::vector<ScoredTuple> legacy_top, fused_top;
@@ -399,8 +511,8 @@ int Main(int argc, char** argv) {
             block_tids.push_back(t);
             if (block_tids.size() >= 1024) {
               block_scores.resize(block_tids.size());
-              f->EvaluateBatch(table, block_tids.data(), block_tids.size(),
-                               block_scores.data());
+              batch(table, block_tids.data(), block_tids.size(),
+                    block_scores.data());
               heap.OfferBatch(block_tids.data(), block_scores.data(),
                               block_tids.size());
               block_tids.clear();
@@ -408,8 +520,8 @@ int Main(int argc, char** argv) {
           }
           if (!block_tids.empty()) {
             block_scores.resize(block_tids.size());
-            f->EvaluateBatch(table, block_tids.data(), block_tids.size(),
-                             block_scores.data());
+            batch(table, block_tids.data(), block_tids.size(),
+                  block_scores.data());
             heap.OfferBatch(block_tids.data(), block_scores.data(),
                             block_tids.size());
             block_tids.clear();

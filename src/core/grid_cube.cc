@@ -252,7 +252,7 @@ std::vector<ScoredTuple> GridNeighborhoodTopK(
     auto [lb, bid] = h.top();
     h.pop();
     // Stop condition: S_k <= S_unseen (lb of the best remaining block).
-    if (topk.Full() && topk.KthScore() <= lb) break;
+    if (topk.KthScore() <= lb) break;
 
     // Retrieve + evaluate: the block's tuples go through the fused kernel
     // in one shot (§3.3.2 hands us tuples per block, so the batch boundary

@@ -43,7 +43,7 @@ std::vector<ScoredTuple> RTreeBranchAndBoundTopK(const Table& table,
   while (!heap.empty()) {
     HeapEntry e = heap.top();
     // Stop: f(topk.root) <= f(c_heap.root) (§4.3.2).
-    if (topk.Full() && topk.KthScore() <= e.score) break;
+    if (topk.KthScore() <= e.score) break;
     heap.pop();
 
     if (e.is_tuple) {

@@ -65,9 +65,8 @@ inline void ScoreLeafEntries(const kernels::BlockEvaluator& eval,
 /// Algorithm 3: progressive best-first search; halts when the k-th result
 /// score is no worse than the best possible unseen score. `table` is the
 /// relation the R-tree indexes: leaf entries are exact copies of its
-/// ranking rows, so a whole leaf is scored with one column-direct
-/// RankingFunction::EvaluateBatch call instead of a scalar Evaluate per
-/// entry.
+/// ranking rows, so a whole leaf is scored with one
+/// kernels::BlockEvaluator call instead of a scalar Evaluate per entry.
 std::vector<ScoredTuple> RTreeBranchAndBoundTopK(const Table& table,
                                                  const RTree& rtree,
                                                  const TopKQuery& query,

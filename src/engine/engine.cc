@@ -68,14 +68,11 @@ Result<TopKResult> RankingEngine::ExecuteWithOverlay(const TopKQuery& query,
 
   // Exact delta scan: the appended rows form the heap tail, read
   // sequentially (charged), filtered by predicates + liveness, and scored
-  // through the same fused path every engine uses. Tuples a constrained
-  // function excludes score +inf and are compacted out (drop_inf), matching
-  // the oracle.
+  // through the same fused path every engine uses.
   if (!inserted.empty()) {
     table_->ChargeTailScan(ctx.io, inserted.front());
     kernels::FusedScorer scorer(*table_, *query.function, query.predicates,
-                                &topk, &result.value().stats,
-                                {.drop_inf = true});
+                                &topk, &result.value().stats);
     for (Tid t : inserted) {
       if (table_->is_live(t)) scorer.Add(t);
     }

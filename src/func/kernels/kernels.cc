@@ -9,7 +9,7 @@
 //  * <Shape>Idx — arbitrary tids. gcc emits no gathers for col[tids[i]]
 //    (and AVX2 gather intrinsics measured no faster than scalar on this
 //    load-bound pattern), so these are unrolled scalar loops; their win
-//    over the legacy per-dim batch passes is the single pass.
+//    over per-dimension column passes is the single pass.
 //  * <Shape>Dense — a consecutive tid run, contiguous column reads. These
 //    are the loops that genuinely vectorize; CI requires every line tagged
 //    `// VEC:` to appear in gcc's -fopt-info-vec optimized report
@@ -28,7 +28,7 @@ namespace {
 
 // --------------------------------------------------------- score kernels --
 //
-// Every kernel reproduces the corresponding Evaluate()'s floating-point
+// Every kernel reproduces the corresponding tree's Eval() floating-point
 // fold exactly: terms accumulate in plan (fold) order, products associate
 // left, squares are v*v. D is the compile-time involved-dim count; the
 // inner j-loops fully unroll.
@@ -375,15 +375,32 @@ Kernel Resolve(const BoundPlan& bound) {
   return {};
 }
 
-bool EvalDispatch(const ExprPlan& plan, const Table& table, const Tid* tids,
-                  size_t n, double* out) {
-  if (!Enabled()) return false;
+// --------------------------------------------------------- BlockEvaluator --
+
+BlockEvaluator::BlockEvaluator(const Table& table, const RankingFunction& f)
+    : table_(table), f_(f) {
+  const auto* tree = dynamic_cast<const ExprFunction*>(&f);
+  if (tree == nullptr || !Enabled()) return;
   BoundPlan bound;
-  if (!Bind(plan, table, &bound)) return false;
-  Kernel kernel = Resolve(bound);
-  if (kernel.indexed == nullptr) return false;
-  if (n > 0) RunKernel(kernel, bound, tids, n, out);
-  return true;
+  if (!Bind(tree->plan(), table, &bound)) return;
+  kernel_ = Resolve(bound);
+  if (kernel_.indexed != nullptr) bound_ = bound;
+}
+
+void BlockEvaluator::ScoreGeneric(const Tid* tids, size_t n,
+                                  double* out) const {
+  // The gather touches only involved_dims() — Evaluate never reads the
+  // others. Evaluate itself is compiled with the baseline flags, so this
+  // loop scores exactly as the scalar path does.
+  const std::vector<int>& dims = f_.involved_dims();
+  std::vector<double> point(f_.num_dims(), 0.0);
+  std::vector<const double*> cols(dims.size());
+  for (size_t j = 0; j < dims.size(); ++j) cols[j] = table_.rank_col(dims[j]);
+  for (size_t i = 0; i < n; ++i) {
+    const Tid t = tids[i];
+    for (size_t j = 0; j < dims.size(); ++j) point[dims[j]] = cols[j][t];
+    out[i] = f_.Evaluate(point.data());
+  }
 }
 
 // ------------------------------------------------------------ FusedScorer --
@@ -392,21 +409,12 @@ const std::vector<Predicate> FusedScorer::kNoPredicates;
 
 FusedScorer::FusedScorer(const Table& table, const RankingFunction& f,
                          const std::vector<Predicate>& predicates,
-                         TopKHeap* topk, ExecStats* stats, Options options)
-    : table_(table), f_(f), topk_(topk), stats_(stats), options_(options) {
+                         TopKHeap* topk, ExecStats* stats)
+    : eval_(table, f), topk_(topk), stats_(stats) {
   buffer_.reserve(kBlock);
   preds_.reserve(predicates.size());
   for (const Predicate& p : predicates) {
     preds_.push_back({table.sel_col(p.dim), p.value});
-  }
-  if (Enabled()) {
-    if (ScoreExprPtr expr = f.Expr()) {
-      BoundPlan bound;
-      if (Bind(ClassifyExpr(*expr), table, &bound)) {
-        kernel_ = Resolve(bound);
-        if (kernel_.indexed != nullptr) bound_ = bound;
-      }
-    }
   }
 }
 
@@ -447,27 +455,8 @@ void FusedScorer::ScoreBlock(const Tid* tids, size_t n) {
   }
 
   scores_.resize(m);
-  if (kernel_.indexed != nullptr) {
-    RunKernel(kernel_, bound_, cur, m, scores_.data());
-  } else {
-    f_.EvaluateBatch(table_, cur, m, scores_.data());
-  }
+  eval_.Score(cur, m, scores_.data());
   stats_->tuples_evaluated += m;
-
-  if (options_.drop_inf) {
-    if (cur != survivors_.data()) {
-      survivors_.assign(cur, cur + m);
-      cur = survivors_.data();
-    }
-    size_t w = 0;
-    for (size_t i = 0; i < m; ++i) {
-      survivors_[w] = survivors_[i];
-      scores_[w] = scores_[i];
-      w += static_cast<size_t>(scores_[i] < kInfScore);
-    }
-    m = w;
-    if (m == 0) return;
-  }
 
   // The S_k threshold test lives in OfferBatch: m compares, zero heap
   // operations for a block that cannot improve the answer.

@@ -1,34 +1,32 @@
 // Fused scoring kernels (the "schedule" half of the Halide-style split):
 // ClassifyExpr flattens a ranking function's ScoreExpr tree into an ExprPlan
-// (func/score_expr.h); this layer binds that plan to table columns and
-// dispatches to loops template-instantiated on (function shape ×
-// involved-dim count), fusing the three passes the engines used to pay per
-// block — predicate filter, virtual EvaluateBatch, OfferBatch — into one:
+// (func/score_expr.h) once, when the ExprFunction is built; this layer binds
+// that plan to table columns and dispatches to loops template-instantiated
+// on (function shape × involved-dim count). It is the one block-scoring
+// path of the repository:
 //
-//   FusedScorer     predicate mask -> specialized column-direct scoring of
-//                   survivors -> S_k threshold test before any heap traffic
-//                   (TopKHeap::OfferBatch). Drop-in successor of the old
-//                   core/batch_scorer.h funnel; every engine call site uses
-//                   either this or BlockEvaluator.
-//   BlockEvaluator  score-only variant for engines that keep their own
-//                   offer discipline (R-tree leaves, ranked streams, SPJR).
+//   BlockEvaluator  scores a block of tids: the specialized kernel when one
+//                   applies, otherwise one generic gather-and-Evaluate loop
+//                   (unrecognized trees, functions without a tree, and
+//                   RANKCUBE_FUSED_KERNELS=0).
+//   FusedScorer     predicate mask -> BlockEvaluator on the survivors ->
+//                   S_k threshold test before any heap traffic
+//                   (TopKHeap::OfferBatch), fused into one pass. Every
+//                   engine call site uses either this or BlockEvaluator.
 //
 // Each specialized shape has two loops. The *indexed* loop takes arbitrary
 // tids: it is single-pass and unrolled but inherently scalar — gcc emits no
 // gather instructions for col[tids[i]], so scattered scoring is bound by
-// the loads, not SIMD (measured: ~1.6x over the legacy per-dim batch
-// passes, and AVX2 gather intrinsics measure no faster). The *dense* loop
-// fires when a block is a consecutive tid run — which is what every scan
-// call site (table scan, delta overlay, grid base blocks, brute force)
+// the loads, not SIMD (AVX2 gather intrinsics measure no faster). The
+// *dense* loop fires when a block is a consecutive tid run — which is what
+// every scan call site (table scan, delta overlay, grid base blocks)
 // produces — and reads the columns contiguously, which genuinely
 // vectorizes (~5x over indexed, verified by CI). Run detection is a
 // vectorized O(n) check per block.
 //
-// Dispatch resolves ONCE per query (at FusedScorer/BlockEvaluator
-// construction), not per block. Unrecognized shapes, >kMaxDims functions,
-// and RANKCUBE_FUSED_KERNELS=0 all fall back to the generic
-// RankingFunction::EvaluateBatch path — slower, never different: every
-// kernel reproduces the scalar Evaluate()'s floating-point operation order
+// Dispatch resolves ONCE per query (at BlockEvaluator construction), not
+// per block. The generic loop is slower, never different: every kernel
+// reproduces the scalar Evaluate()'s floating-point operation order
 // exactly, so kernels on/off is bit-identical (enforced by the parity
 // tests, which compare with ==).
 //
@@ -51,7 +49,7 @@
 namespace rankcube::kernels {
 
 /// Most involved dimensions a bound kernel supports; wider functions use the
-/// generic path. 1..4 get fully unrolled instantiations, 5..kMaxDims a
+/// generic loop. 1..4 get fully unrolled instantiations, 5..kMaxDims a
 /// runtime-dim loop.
 inline constexpr int kMaxDims = 8;
 
@@ -60,8 +58,9 @@ inline constexpr int kMaxDims = 8;
 inline constexpr size_t kBlock = 1024;
 
 /// Kill switch: false when the environment variable RANKCUBE_FUSED_KERNELS
-/// is "0"/"off"/"false" (any case). Read at scorer construction — tests
-/// flip it between sequential runs to prove dispatch never changes results.
+/// is "0"/"off"/"false" (any case). Read at BlockEvaluator construction —
+/// tests flip it between sequential runs to prove dispatch never changes
+/// results.
 bool Enabled();
 
 /// An ExprPlan with its columns resolved against a table: everything a
@@ -112,77 +111,57 @@ inline void RunKernel(const Kernel& k, const BoundPlan& bound,
   }
 }
 
-/// One-shot classify+bind+run for EvaluateBatch implementations: scores the
-/// block through the specialized kernel and returns true, or returns false
-/// (out untouched) when no kernel applies or kernels are disabled.
-bool EvalDispatch(const ExprPlan& plan, const Table& table, const Tid* tids,
-                  size_t n, double* out);
-
-/// Score-only fused evaluator for engines that keep their own offer
-/// discipline. Resolves the kernel once at construction; Score() is then
-/// one indirect call per block (or the generic EvaluateBatch fallback).
+/// Score-only evaluator for engines that keep their own offer discipline
+/// (R-tree leaves, ranked streams, SPJR, certified cache re-rank). Reads
+/// the plan the ExprFunction classified at construction and resolves its
+/// kernel once; Score() is then one indirect call per block, or the
+/// generic loop when no kernel applies.
 class BlockEvaluator {
  public:
-  BlockEvaluator(const Table& table, const RankingFunction& f)
-      : table_(table), f_(f) {
-    if (Enabled()) {
-      if (ScoreExprPtr expr = f.Expr()) {
-        BoundPlan bound;
-        if (Bind(ClassifyExpr(*expr), table, &bound)) {
-          kernel_ = Resolve(bound);
-          if (kernel_.indexed != nullptr) bound_ = bound;
-        }
-      }
-    }
-  }
+  BlockEvaluator(const Table& table, const RankingFunction& f);
 
-  /// out[i] = f(tuple tids[i]); bit-identical to the scalar path.
+  /// out[i] = f(tuple tids[i]); bit-identical to the scalar Evaluate.
   void Score(const Tid* tids, size_t n, double* out) const {
     if (kernel_.indexed != nullptr) {
       RunKernel(kernel_, bound_, tids, n, out);
     } else {
-      f_.EvaluateBatch(table_, tids, n, out);
+      ScoreGeneric(tids, n, out);
     }
   }
 
+  /// True when a specialized kernel scores the blocks.
   bool fused() const { return kernel_.indexed != nullptr; }
 
  private:
+  /// One gather into a point vector and one virtual Evaluate per tuple.
+  void ScoreGeneric(const Tid* tids, size_t n, double* out) const;
+
   const Table& table_;
   const RankingFunction& f_;
   BoundPlan bound_;
   Kernel kernel_;
 };
 
-struct FusedOptions {
-  bool drop_inf = false;
-};
-
-/// The fused predicate/score/threshold funnel. Successor of the old
-/// BatchScorer: call sites push candidate tids (already liveness-filtered —
-/// tombstones are the caller's concern); the scorer applies the query's
-/// equality predicates column-direct, scores survivors through the
-/// specialized kernel, and offers through the threshold-aware OfferBatch,
-/// so a block worse than S_k costs compares but zero heap operations.
+/// The fused predicate/score/threshold funnel: call sites push candidate
+/// tids (already liveness-filtered — tombstones are the caller's concern);
+/// the scorer applies the query's equality predicates column-direct, scores
+/// survivors through its BlockEvaluator, and offers through the
+/// threshold-aware OfferBatch, so a block worse than S_k costs compares but
+/// zero heap operations. +inf scores (tuples a gate excludes) never enter
+/// the heap: TopKHeap refuses them.
 ///
 /// `stats->tuples_evaluated` counts predicate survivors (exact scores
-/// computed), matching the pre-fusion call sites. FusedOptions::drop_inf
-/// compacts +inf scores out before offering — used where the legacy call
-/// site did the same (delta overlay); everywhere else +inf tuples are
-/// offered and lose naturally, preserving exact heap-state parity with the
-/// unfused code.
+/// computed).
 class FusedScorer {
  public:
-  using Options = FusedOptions;
-
   FusedScorer(const Table& table, const RankingFunction& f,
               const std::vector<Predicate>& predicates, TopKHeap* topk,
-              ExecStats* stats, Options options = {});
+              ExecStats* stats);
 
   /// Predicate-free variant (call sites whose tids are already selected).
   FusedScorer(const Table& table, const RankingFunction& f, TopKHeap* topk,
-              ExecStats* stats, Options options = {})
-      : FusedScorer(table, f, kNoPredicates, topk, stats, options) {}
+              ExecStats* stats)
+      : FusedScorer(table, f, kNoPredicates, topk, stats) {}
 
   /// Buffers one candidate; flushes a full block automatically.
   void Add(Tid tid) {
@@ -202,7 +181,7 @@ class FusedScorer {
     }
   }
 
-  bool fused() const { return kernel_.indexed != nullptr; }
+  bool fused() const { return eval_.fused(); }
 
  private:
   static const std::vector<Predicate> kNoPredicates;
@@ -212,16 +191,12 @@ class FusedScorer {
     int32_t value;
   };
 
-  const Table& table_;
-  const RankingFunction& f_;
+  BlockEvaluator eval_;
   TopKHeap* topk_;
   ExecStats* stats_;
-  Options options_;
-  BoundPlan bound_;
-  Kernel kernel_;
   std::vector<BoundPred> preds_;
   std::vector<Tid> buffer_;     ///< Add() accumulator
-  std::vector<Tid> survivors_;  ///< predicate/inf compaction scratch
+  std::vector<Tid> survivors_;  ///< predicate compaction scratch
   std::vector<double> scores_;
 };
 

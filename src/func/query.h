@@ -95,18 +95,20 @@ struct ScoredTuple {
 
 /// Bounded max-heap over scores: keeps the k smallest-scoring tuples seen;
 /// `KthScore()` is the current S_k bound used by every stop condition.
+/// A score that is not below kInfScore never enters: a tuple a gated
+/// function excludes is not an answer, so an answer holds fewer than k
+/// tuples when fewer than k score finitely.
 class TopKHeap {
  public:
   explicit TopKHeap(int k) : k_(k) {}
 
   void Offer(Tid tid, double score) {
+    if (!(score < kInfScore)) return;
     if (static_cast<int>(heap_.size()) < k_) {
       heap_.push_back({tid, score});
       std::push_heap(heap_.begin(), heap_.end(), Worse);
     } else if (!heap_.empty() && score < heap_.front().score) {
-      std::pop_heap(heap_.begin(), heap_.end(), Worse);
-      heap_.back() = {tid, score};
-      std::push_heap(heap_.begin(), heap_.end(), Worse);
+      ReplaceWorst(tid, score);
     }
   }
 
@@ -117,18 +119,21 @@ class TopKHeap {
   void OfferBatch(const Tid* tids, const double* scores, size_t n) {
     if (k_ <= 0) return;
     size_t i = 0;
-    // Fill phase: until k results exist every tuple enters the heap.
+    // Fill phase: until k results exist every finite score enters.
     for (; i < n && static_cast<int>(heap_.size()) < k_; ++i) {
       Offer(tids[i], scores[i]);
     }
+    // Full: the worst kept score is finite, so beating it implies finite.
     for (; i < n; ++i) {
-      if (scores[i] < heap_.front().score) Offer(tids[i], scores[i]);
+      if (scores[i] < heap_.front().score) ReplaceWorst(tids[i], scores[i]);
     }
   }
 
   bool Full() const { return static_cast<int>(heap_.size()) >= k_; }
 
-  /// S_k: the k-th best score so far, +inf until k results exist.
+  /// S_k: the k-th best score so far, +inf until k results exist. Stop
+  /// tests compare it with `<=` against a bound alone: while the heap holds
+  /// fewer than k rows, only a +inf bound (nothing finite left) stops.
   double KthScore() const {
     return Full() && k_ > 0 ? heap_.front().score : kInfScore;
   }
@@ -147,6 +152,12 @@ class TopKHeap {
     return a.score < b.score;  // max-heap on score
   }
 
+  void ReplaceWorst(Tid tid, double score) {
+    std::pop_heap(heap_.begin(), heap_.end(), Worse);
+    heap_.back() = {tid, score};
+    std::push_heap(heap_.begin(), heap_.end(), Worse);
+  }
+
   int k_;
   std::vector<ScoredTuple> heap_;
 };
@@ -154,35 +165,13 @@ class TopKHeap {
 /// Exact top-k by full in-memory evaluation; returns ascending scores. The
 /// reference oracle: correctness tests compare every engine against it, and
 /// the rank-mapping engine derives its optimal k-th-score bound from it
-/// (no pages are charged — it reads the in-memory columns directly).
-/// Scores through the same column-direct EvaluateBatch + threshold-aware
-/// OfferBatch pair the engines run, so the oracle exercises the vectorized
-/// path instead of a per-tuple rank() gather.
+/// (no pages are charged — it reads the in-memory columns directly). It
+/// scores each tuple with the scalar Evaluate and offers it alone, so it
+/// shares no code with the kernels, FusedScorer or OfferBatch it checks.
 inline std::vector<ScoredTuple> BruteForceTopK(const Table& table,
                                                const TopKQuery& query) {
-  constexpr size_t kBlock = 1024;
-  std::vector<Tid> tids;
-  tids.reserve(kBlock);
-  std::vector<double> scores(kBlock);
   TopKHeap topk(query.k);
-  auto flush = [&] {
-    scores.resize(tids.size());
-    query.function->EvaluateBatch(table, tids.data(), tids.size(),
-                                  scores.data());
-    // Tuples a constrained function excludes score +inf and never rank
-    // (the heap's fill phase would otherwise admit them); compact them out
-    // before offering.
-    size_t m = 0;
-    for (size_t i = 0; i < tids.size(); ++i) {
-      if (scores[i] < kInfScore) {
-        tids[m] = tids[i];
-        scores[m] = scores[i];
-        ++m;
-      }
-    }
-    topk.OfferBatch(tids.data(), scores.data(), m);
-    tids.clear();
-  };
+  std::vector<double> point(table.num_rank_dims());
   for (Tid t = 0; t < static_cast<Tid>(table.num_rows()); ++t) {
     if (!table.is_live(t)) continue;
     bool ok = true;
@@ -193,10 +182,9 @@ inline std::vector<ScoredTuple> BruteForceTopK(const Table& table,
       }
     }
     if (!ok) continue;
-    tids.push_back(t);
-    if (tids.size() >= kBlock) flush();
+    table.CopyRankRow(t, point.data());
+    topk.Offer(t, query.function->Evaluate(point.data()));
   }
-  flush();
   return topk.Sorted();
 }
 

@@ -2,53 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
-#include <sstream>
-
-#include "func/score_expr.h"
 
 namespace rankcube {
-
-namespace {
-
-std::vector<int> NonZeroDims(const std::vector<double>& w) {
-  std::vector<int> dims;
-  for (size_t d = 0; d < w.size(); ++d) {
-    if (w[d] != 0.0) dims.push_back(static_cast<int>(d));
-  }
-  return dims;
-}
-
-std::string WeightedTerms(const std::vector<double>& w, const char* var) {
-  std::ostringstream os;
-  bool first = true;
-  for (size_t d = 0; d < w.size(); ++d) {
-    if (w[d] == 0.0) continue;
-    if (!first) os << " + ";
-    os << w[d] << "*" << var << d;
-    first = false;
-  }
-  return os.str();
-}
-
-}  // namespace
-
-void RankingFunction::EvaluateBatch(const Table& table, const Tid* tids,
-                                    size_t n, double* out) const {
-  // Default: the scalar path, one gather + one Evaluate per tuple. Kept as
-  // the reference semantics for functions without a column-direct override
-  // (and as the baseline the parity test compares overrides against). The
-  // gather touches only involved_dims() — Evaluate never reads the others
-  // — and hoists the virtual metadata calls out of the loop.
-  const std::vector<int>& dims = involved_dims();
-  std::vector<double> point(num_dims(), 0.0);
-  std::vector<const double*> cols(dims.size());
-  for (size_t j = 0; j < dims.size(); ++j) cols[j] = table.rank_col(dims[j]);
-  for (size_t i = 0; i < n; ++i) {
-    const Tid t = tids[i];
-    for (size_t j = 0; j < dims.size(); ++j) point[dims[j]] = cols[j][t];
-    out[i] = Evaluate(point.data());
-  }
-}
 
 std::vector<double> RankingFunction::Minimizer(const Box& box) const {
   // Generic fallback: probe a small lattice (corners + midpoints) over the
@@ -80,414 +35,331 @@ std::vector<double> RankingFunction::Minimizer(const Box& box) const {
   return best;
 }
 
-// ---------------------------------------------------------------- Linear --
+// ---------------------------------------------------------- ExprFunction --
 
-LinearFunction::LinearFunction(std::vector<double> weights)
-    : w_(std::move(weights)), dims_(NonZeroDims(w_)) {}
+namespace {
 
-double LinearFunction::Evaluate(const double* p) const {
-  double s = 0.0;
-  for (int d : dims_) s += w_[d] * p[d];
-  return s;
+/// min of x*x over x in iv.
+double MinSquare(const Interval& iv) {
+  if (iv.lo <= 0.0 && 0.0 <= iv.hi) return 0.0;
+  return std::min(iv.lo * iv.lo, iv.hi * iv.hi);
 }
 
-void LinearFunction::EvaluateBatch(const Table& table, const Tid* tids,
-                                   size_t n, double* out) const {
-  // Column-direct: one pass per involved dimension over the block. The
-  // accumulation order per tuple matches Evaluate (dims_ order), so the
-  // result is bit-identical to the scalar path while the inner loop
-  // auto-vectorizes (contiguous out[], indexed loads from one column).
-  std::fill(out, out + n, 0.0);
+/// Where on `iv` the distance term w * g(x - t) is smallest, for g = square
+/// or abs: the target clamped into the interval when w >= 0, the endpoint
+/// farthest from the target otherwise.
+double DistanceArgMin(const Interval& iv, double w, double t) {
+  if (w >= 0) return iv.Clamp(t);
+  return t - iv.lo > iv.hi - t ? iv.lo : iv.hi;
+}
+
+}  // namespace
+
+ExprFunction::ExprFunction(int num_dims, ScoreExprPtr expr, std::string name)
+    : r_(num_dims), expr_(std::move(expr)), name_(std::move(name)) {
+  std::vector<bool> involved(r_, false);
+  expr_->CollectDims(&involved);
+  for (int d = 0; d < r_; ++d) {
+    if (involved[d]) dims_.push_back(d);
+  }
+  plan_ = ClassifyExpr(*expr_);
+
+  bool weights_nonneg = true;
+  for (double w : plan_.weights) weights_nonneg &= w >= 0.0;
+  switch (plan_.shape) {
+    case FuncShape::kLinear:
+    case FuncShape::kSquaredLinear:
+      convex_ = true;
+      break;
+    case FuncShape::kQuadratic:
+    case FuncShape::kL1:
+      convex_ = weights_nonneg;
+      break;
+    default:
+      convex_ = false;
+  }
+
+  // Structural monotone directions over the normalized [0,1]^R domain; a
+  // single unknown dimension forfeits the claim (conservative: engines that
+  // need monotonicity simply are not offered it).
+  Box unit = Box::Unit(static_cast<size_t>(r_));
+  std::vector<int> dirs;
+  dirs.reserve(dims_.size());
+  bool all_known = true;
   for (int d : dims_) {
-    const double* col = table.rank_col(d);
-    const double w = w_[d];
-    for (size_t i = 0; i < n; ++i) out[i] += w * col[tids[i]];
+    std::optional<int> m = expr_->Monotonicity(d, unit);
+    if (!m) {
+      all_known = false;
+      break;
+    }
+    dirs.push_back(*m == 0 ? +1 : *m);  // constant-in-dim is trivially both
+  }
+  if (all_known && !dims_.empty()) monotone_ = std::move(dirs);
+
+  // Semi-monotone center for recognized distance shapes with non-negative
+  // weights and one term per dimension.
+  if ((plan_.shape == FuncShape::kQuadratic ||
+       plan_.shape == FuncShape::kL1) &&
+      weights_nonneg && plan_.dims.size() == dims_.size()) {
+    std::vector<double> center(dims_.size(), 0.0);
+    bool unique = true;
+    std::vector<bool> seen(r_, false);
+    for (size_t j = 0; j < plan_.dims.size(); ++j) {
+      int d = plan_.dims[j];
+      if (d < 0 || d >= r_ || seen[d]) {
+        unique = false;
+        break;
+      }
+      seen[d] = true;
+      size_t pos = 0;
+      while (dims_[pos] != d) ++pos;
+      center[pos] = plan_.targets[j];
+    }
+    if (unique) semi_center_ = std::move(center);
   }
 }
 
-double LinearFunction::LowerBound(const Box& box) const {
-  double s = 0.0;
-  for (int d : dims_) s += w_[d] * (w_[d] >= 0 ? box[d].lo : box[d].hi);
-  return s;
-}
-
-std::vector<double> LinearFunction::Minimizer(const Box& box) const {
-  std::vector<double> p(w_.size());
-  for (size_t d = 0; d < w_.size(); ++d) {
-    p[d] = (w_[d] >= 0) ? box[d].lo : box[d].hi;
+double ExprFunction::LowerBound(const Box& box) const {
+  // Closed forms per recognized shape, over the plan's per-term arrays.
+  // Each term is bounded on its own, so a tree that repeats a dimension
+  // still gets a valid (if looser) bound.
+  const ExprPlan& p = plan_;
+  const size_t n = p.dims.size();
+  switch (p.shape) {
+    case FuncShape::kLinear: {
+      double s = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        const Interval& iv = box[p.dims[j]];
+        s += p.weights[j] * (p.weights[j] >= 0 ? iv.lo : iv.hi);
+      }
+      return s;
+    }
+    case FuncShape::kQuadratic: {
+      double s = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        const double t = p.targets[j];
+        const double diff =
+            DistanceArgMin(box[p.dims[j]], p.weights[j], t) - t;
+        s += p.weights[j] * diff * diff;
+      }
+      return s;
+    }
+    case FuncShape::kL1: {
+      double s = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        const double t = p.targets[j];
+        s += p.weights[j] *
+             std::abs(DistanceArgMin(box[p.dims[j]], p.weights[j], t) - t);
+      }
+      return s;
+    }
+    case FuncShape::kSquaredLinear: {
+      // Range of the inner linear form, then the least square over it.
+      double lo = 0.0, hi = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        const double w = p.weights[j];
+        const Interval& iv = box[p.dims[j]];
+        if (w >= 0) {
+          lo += w * iv.lo;
+          hi += w * iv.hi;
+        } else {
+          lo += w * iv.hi;
+          hi += w * iv.lo;
+        }
+      }
+      return MinSquare({lo, hi});
+    }
+    case FuncShape::kGeneralAB: {
+      const Interval& ia = box[p.dims[0]];
+      const Interval& ib = box[p.dims[1]];
+      const double b2_lo = MinSquare(ib);
+      const double b2_hi = std::max(ib.lo * ib.lo, ib.hi * ib.hi);
+      return MinSquare({ia.lo - b2_hi, ia.hi - b2_lo});
+    }
+    case FuncShape::kConstrainedSum: {
+      const Interval& ib = box[p.dims[1]];
+      if (ib.hi < p.band_lo || ib.lo > p.band_hi) return kInfScore;
+      return box[p.dims[0]].lo + std::max(ib.lo, p.band_lo);
+    }
+    case FuncShape::kGeneric:
+      break;
   }
-  return p;
+  return expr_->Range(box).lo;
 }
 
-std::optional<std::vector<int>> LinearFunction::MonotoneDirections() const {
-  std::vector<int> dir;
-  dir.reserve(dims_.size());
-  for (int d : dims_) dir.push_back(w_[d] >= 0 ? +1 : -1);
-  return dir;
+std::vector<double> ExprFunction::Minimizer(const Box& box) const {
+  const ExprPlan& p = plan_;
+  if (p.shape == FuncShape::kGeneric) return RankingFunction::Minimizer(box);
+  const size_t n = p.dims.size();
+  std::vector<double> x(r_);
+  for (int d = 0; d < r_; ++d) x[d] = box[d].lo;
+  switch (p.shape) {
+    case FuncShape::kLinear:
+      for (size_t j = 0; j < n; ++j) {
+        if (p.weights[j] < 0) x[p.dims[j]] = box[p.dims[j]].hi;
+      }
+      break;
+    case FuncShape::kQuadratic:
+    case FuncShape::kL1:
+      for (size_t j = 0; j < n; ++j) {
+        x[p.dims[j]] =
+            DistanceArgMin(box[p.dims[j]], p.weights[j], p.targets[j]);
+      }
+      break;
+    case FuncShape::kSquaredLinear: {
+      // Start at the corner minimizing the inner linear form, then walk
+      // coordinates toward the opposite end until the inner value reaches
+      // 0. If it never does, the opposite corner minimizes inner^2.
+      double inner = 0.0;
+      for (size_t j = 0; j < n; ++j) {
+        const Interval& iv = box[p.dims[j]];
+        x[p.dims[j]] = p.weights[j] >= 0 ? iv.lo : iv.hi;
+        inner += p.weights[j] * x[p.dims[j]];
+      }
+      if (inner >= 0.0) break;  // the minimizing corner already
+      for (size_t j = 0; j < n; ++j) {
+        const double w = p.weights[j];
+        const int d = p.dims[j];
+        const double other = w >= 0 ? box[d].hi : box[d].lo;
+        const double delta = w * (other - x[d]);  // >= 0 by construction
+        if (inner + delta >= 0.0) {
+          // Solve w * (x - x_d) = -inner within this coordinate.
+          x[d] += -inner / w;
+          break;
+        }
+        inner += delta;
+        x[d] = other;
+      }
+      break;
+    }
+    case FuncShape::kGeneralAB: {
+      // Pick b so that b^2 lands inside [alo, ahi] if possible; otherwise
+      // the closest endpoint combination.
+      const int a = p.dims[0], b = p.dims[1];
+      const Interval& ia = box[a];
+      const Interval& ib = box[b];
+      double best = kInfScore;
+      for (double bv :
+           {ib.lo, ib.hi, ib.Clamp(0.0),
+            ib.Clamp(std::sqrt(std::max(0.0, ia.lo))),
+            ib.Clamp(std::sqrt(std::max(0.0, ia.hi)))}) {
+        const double av = ia.Clamp(bv * bv);
+        const double diff = av - bv * bv;
+        const double s = diff * diff;
+        if (s < best) {
+          best = s;
+          x[a] = av;
+          x[b] = bv;
+        }
+      }
+      break;
+    }
+    case FuncShape::kConstrainedSum: {
+      // Stay inside the box even when it misses the constraint band (the
+      // point then scores +inf, matching the +inf lower bound).
+      const Interval& ib = box[p.dims[1]];
+      x[p.dims[1]] = ib.Clamp(std::max(ib.lo, p.band_lo));
+      break;
+    }
+    case FuncShape::kGeneric:
+      break;
+  }
+  return x;
 }
 
-std::string LinearFunction::ToString() const {
-  return "linear(" + WeightedTerms(w_, "N") + ")";
+std::string ExprFunction::ToString() const {
+  return (name_.empty() ? "expr" : name_) + "(" + expr_->ToString() + ")";
 }
 
-ScoreExprPtr LinearFunction::Expr() const {
+// -------------------------------------------------------------- builders --
+
+namespace {
+
+/// sum_d w_d * N_d over the non-zero weights, in ascending dimension order.
+ScoreExprPtr LinearTree(const std::vector<double>& w) {
   std::vector<ScoreExprPtr> terms;
-  for (int d : dims_) {
-    terms.push_back(
-        ScoreExpr::Mul({ScoreExpr::Const(w_[d]), ScoreExpr::Var(d)}));
+  for (size_t d = 0; d < w.size(); ++d) {
+    if (w[d] == 0.0) continue;
+    terms.push_back(ScoreExpr::Mul(
+        {ScoreExpr::Const(w[d]), ScoreExpr::Var(static_cast<int>(d))}));
   }
   return ScoreExpr::Add(std::move(terms));
 }
 
-// ----------------------------------------------------- QuadraticDistance --
+ScoreExprPtr QuadraticTree(const std::vector<double>& w,
+                           const std::vector<double>& t) {
+  // w * (x-t) * (x-t) as Mul[Const, Sub, Sub]: the fold the quadratic
+  // kernel reproduces. The Sub node is shared so Range() squares the
+  // interval instead of multiplying it by itself.
+  std::vector<ScoreExprPtr> terms;
+  for (size_t d = 0; d < w.size(); ++d) {
+    if (w[d] == 0.0) continue;
+    ScoreExprPtr diff = ScoreExpr::Sub(ScoreExpr::Var(static_cast<int>(d)),
+                                       ScoreExpr::Const(t[d]));
+    terms.push_back(ScoreExpr::Mul({ScoreExpr::Const(w[d]), diff, diff}));
+  }
+  return ScoreExpr::Add(std::move(terms));
+}
+
+ScoreExprPtr L1Tree(const std::vector<double>& w,
+                    const std::vector<double>& t) {
+  std::vector<ScoreExprPtr> terms;
+  for (size_t d = 0; d < w.size(); ++d) {
+    if (w[d] == 0.0) continue;
+    terms.push_back(ScoreExpr::Mul(
+        {ScoreExpr::Const(w[d]),
+         ScoreExpr::Abs(ScoreExpr::Sub(ScoreExpr::Var(static_cast<int>(d)),
+                                       ScoreExpr::Const(t[d])))}));
+  }
+  return ScoreExpr::Add(std::move(terms));
+}
+
+int Dims(const std::vector<double>& w) { return static_cast<int>(w.size()); }
+
+}  // namespace
+
+LinearFunction::LinearFunction(std::vector<double> weights)
+    : ExprFunction(Dims(weights), LinearTree(weights), "linear"),
+      w_(std::move(weights)) {}
 
 QuadraticDistance::QuadraticDistance(std::vector<double> weights,
                                      std::vector<double> targets)
-    : w_(std::move(weights)), t_(std::move(targets)), dims_(NonZeroDims(w_)) {}
-
-double QuadraticDistance::Evaluate(const double* p) const {
-  double s = 0.0;
-  for (int d : dims_) {
-    double diff = p[d] - t_[d];
-    s += w_[d] * diff * diff;
-  }
-  return s;
-}
-
-void QuadraticDistance::EvaluateBatch(const Table& table, const Tid* tids,
-                                      size_t n, double* out) const {
-  std::fill(out, out + n, 0.0);
-  for (int d : dims_) {
-    const double* col = table.rank_col(d);
-    const double w = w_[d];
-    const double t = t_[d];
-    for (size_t i = 0; i < n; ++i) {
-      const double diff = col[tids[i]] - t;
-      out[i] += w * diff * diff;
-    }
-  }
-}
-
-double QuadraticDistance::LowerBound(const Box& box) const {
-  double s = 0.0;
-  for (int d : dims_) {
-    double c = box[d].Clamp(t_[d]);
-    double diff = c - t_[d];
-    s += w_[d] * diff * diff;
-  }
-  return s;
-}
+    : ExprFunction(Dims(weights), QuadraticTree(weights, targets), "l2dist"),
+      t_(std::move(targets)) {}
 
 std::vector<double> QuadraticDistance::Minimizer(const Box& box) const {
-  std::vector<double> p(w_.size());
-  for (size_t d = 0; d < w_.size(); ++d) p[d] = box[d].Clamp(t_[d]);
+  std::vector<double> p(num_dims());
+  for (int d = 0; d < num_dims(); ++d) p[d] = box[d].Clamp(t_[d]);
   return p;
 }
-
-std::optional<std::vector<double>> QuadraticDistance::SemiMonotoneCenter()
-    const {
-  std::vector<double> c;
-  c.reserve(dims_.size());
-  for (int d : dims_) c.push_back(t_[d]);
-  return c;
-}
-
-ScoreExprPtr QuadraticDistance::Expr() const {
-  // w * (x-t) * (x-t) as Mul[Const, Sub, Sub] — the same left fold as
-  // Evaluate's `w * diff * diff`. The Sub node is shared so Range() can
-  // square the interval instead of multiplying it by itself.
-  std::vector<ScoreExprPtr> terms;
-  for (int d : dims_) {
-    ScoreExprPtr diff =
-        ScoreExpr::Sub(ScoreExpr::Var(d), ScoreExpr::Const(t_[d]));
-    terms.push_back(ScoreExpr::Mul({ScoreExpr::Const(w_[d]), diff, diff}));
-  }
-  return ScoreExpr::Add(std::move(terms));
-}
-
-std::string QuadraticDistance::ToString() const {
-  std::ostringstream os;
-  os << "l2dist(";
-  for (size_t j = 0; j < dims_.size(); ++j) {
-    if (j) os << " + ";
-    os << w_[dims_[j]] << "*(N" << dims_[j] << "-" << t_[dims_[j]] << ")^2";
-  }
-  os << ")";
-  return os.str();
-}
-
-// ------------------------------------------------------------ L1Distance --
 
 L1Distance::L1Distance(std::vector<double> weights, std::vector<double> targets)
-    : w_(std::move(weights)), t_(std::move(targets)), dims_(NonZeroDims(w_)) {}
-
-double L1Distance::Evaluate(const double* p) const {
-  double s = 0.0;
-  for (int d : dims_) s += w_[d] * std::abs(p[d] - t_[d]);
-  return s;
-}
-
-void L1Distance::EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                               double* out) const {
-  std::fill(out, out + n, 0.0);
-  for (int d : dims_) {
-    const double* col = table.rank_col(d);
-    const double w = w_[d];
-    const double t = t_[d];
-    for (size_t i = 0; i < n; ++i) out[i] += w * std::abs(col[tids[i]] - t);
-  }
-}
-
-double L1Distance::LowerBound(const Box& box) const {
-  double s = 0.0;
-  for (int d : dims_) s += w_[d] * std::abs(box[d].Clamp(t_[d]) - t_[d]);
-  return s;
-}
+    : ExprFunction(Dims(weights), L1Tree(weights, targets), "l1dist"),
+      t_(std::move(targets)) {}
 
 std::vector<double> L1Distance::Minimizer(const Box& box) const {
-  std::vector<double> p(w_.size());
-  for (size_t d = 0; d < w_.size(); ++d) p[d] = box[d].Clamp(t_[d]);
+  std::vector<double> p(num_dims());
+  for (int d = 0; d < num_dims(); ++d) p[d] = box[d].Clamp(t_[d]);
   return p;
 }
-
-std::optional<std::vector<double>> L1Distance::SemiMonotoneCenter() const {
-  std::vector<double> c;
-  c.reserve(dims_.size());
-  for (int d : dims_) c.push_back(t_[d]);
-  return c;
-}
-
-std::string L1Distance::ToString() const {
-  return "l1dist(" + WeightedTerms(w_, "N") + ")";
-}
-
-ScoreExprPtr L1Distance::Expr() const {
-  std::vector<ScoreExprPtr> terms;
-  for (int d : dims_) {
-    terms.push_back(ScoreExpr::Mul(
-        {ScoreExpr::Const(w_[d]),
-         ScoreExpr::Abs(
-             ScoreExpr::Sub(ScoreExpr::Var(d), ScoreExpr::Const(t_[d])))}));
-  }
-  return ScoreExpr::Add(std::move(terms));
-}
-
-// --------------------------------------------------------- SquaredLinear --
 
 SquaredLinear::SquaredLinear(std::vector<double> weights)
-    : w_(std::move(weights)), dims_(NonZeroDims(w_)) {}
-
-double SquaredLinear::Evaluate(const double* p) const {
-  double s = 0.0;
-  for (int d : dims_) s += w_[d] * p[d];
-  return s * s;
-}
-
-void SquaredLinear::EvaluateBatch(const Table& table, const Tid* tids,
-                                  size_t n, double* out) const {
-  // Accumulate the inner linear form column-wise, then square in one pass.
-  std::fill(out, out + n, 0.0);
-  for (int d : dims_) {
-    const double* col = table.rank_col(d);
-    const double w = w_[d];
-    for (size_t i = 0; i < n; ++i) out[i] += w * col[tids[i]];
-  }
-  for (size_t i = 0; i < n; ++i) out[i] *= out[i];
-}
-
-double SquaredLinear::InnerInterval(const Box& box, double* lo,
-                                    double* hi) const {
-  double l = 0.0, h = 0.0;
-  for (int d : dims_) {
-    if (w_[d] >= 0) {
-      l += w_[d] * box[d].lo;
-      h += w_[d] * box[d].hi;
-    } else {
-      l += w_[d] * box[d].hi;
-      h += w_[d] * box[d].lo;
-    }
-  }
-  *lo = l;
-  *hi = h;
-  return 0.0;
-}
-
-double SquaredLinear::LowerBound(const Box& box) const {
-  double lo, hi;
-  InnerInterval(box, &lo, &hi);
-  if (lo <= 0.0 && 0.0 <= hi) return 0.0;
-  double a = lo * lo, b = hi * hi;
-  return std::min(a, b);
-}
-
-std::vector<double> SquaredLinear::Minimizer(const Box& box) const {
-  // Start at the corner minimizing the inner linear form, then walk
-  // coordinates toward the opposite end until the inner value reaches 0.
-  std::vector<double> p(w_.size());
-  double inner = 0.0;
-  for (size_t d = 0; d < w_.size(); ++d) {
-    p[d] = (w_[d] >= 0) ? box[d].lo : box[d].hi;
-    inner += w_[d] * p[d];
-  }
-  if (inner >= 0.0) return p;  // lo already the minimizing corner
-  for (int d : dims_) {
-    double other = (w_[d] >= 0) ? box[d].hi : box[d].lo;
-    double delta = w_[d] * (other - p[d]);  // >= 0 by construction
-    if (inner + delta >= 0.0) {
-      // Solve w_d * (x - p_d) = -inner within this coordinate.
-      p[d] += -inner / w_[d];
-      return p;
-    }
-    inner += delta;
-    p[d] = other;
-  }
-  return p;  // inner < 0 everywhere: the max corner minimizes inner^2
-}
-
-std::string SquaredLinear::ToString() const {
-  return "sqlinear((" + WeightedTerms(w_, "N") + ")^2)";
-}
-
-ScoreExprPtr SquaredLinear::Expr() const {
-  std::vector<ScoreExprPtr> terms;
-  for (int d : dims_) {
-    terms.push_back(
-        ScoreExpr::Mul({ScoreExpr::Const(w_[d]), ScoreExpr::Var(d)}));
-  }
-  return ScoreExpr::Square(ScoreExpr::Add(std::move(terms)));
-}
-
-// ------------------------------------------------------------- GeneralAB --
+    : ExprFunction(Dims(weights), ScoreExpr::Square(LinearTree(weights)),
+                   "sqlinear") {}
 
 GeneralAB::GeneralAB(int num_dims, int a_dim, int b_dim)
-    : r_(num_dims), a_(a_dim), b_(b_dim), dims_({a_dim, b_dim}) {}
-
-double GeneralAB::Evaluate(const double* p) const {
-  double diff = p[a_] - p[b_] * p[b_];
-  return diff * diff;
-}
-
-void GeneralAB::EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                              double* out) const {
-  // Column-direct: both columns streamed once, no row gather, no virtual
-  // call per tuple. Same operation order as Evaluate -> bit-identical.
-  const double* ca = table.rank_col(a_);
-  const double* cb = table.rank_col(b_);
-  for (size_t i = 0; i < n; ++i) {
-    const Tid t = tids[i];
-    const double diff = ca[t] - cb[t] * cb[t];
-    out[i] = diff * diff;
-  }
-}
-
-double GeneralAB::LowerBound(const Box& box) const {
-  // Range of b^2 over [blo, bhi]:
-  const Interval& ib = box[b_];
-  double b2_lo, b2_hi;
-  if (ib.lo <= 0.0 && 0.0 <= ib.hi) {
-    b2_lo = 0.0;
-    b2_hi = std::max(ib.lo * ib.lo, ib.hi * ib.hi);
-  } else {
-    double x = ib.lo * ib.lo, y = ib.hi * ib.hi;
-    b2_lo = std::min(x, y);
-    b2_hi = std::max(x, y);
-  }
-  // Range of a - b^2:
-  double lo = box[a_].lo - b2_hi;
-  double hi = box[a_].hi - b2_lo;
-  if (lo <= 0.0 && 0.0 <= hi) return 0.0;
-  return std::min(lo * lo, hi * hi);
-}
-
-std::vector<double> GeneralAB::Minimizer(const Box& box) const {
-  // Try to pick b so that b^2 lands inside [alo, ahi]; otherwise take the
-  // closest endpoint combination.
-  std::vector<double> p(r_);
-  for (int d = 0; d < r_; ++d) p[d] = box[d].lo;
-  const Interval& ia = box[a_];
-  const Interval& ib = box[b_];
-  double best = kInfScore;
-  auto consider = [&](double av, double bv) {
-    double diff = av - bv * bv;
-    double s = diff * diff;
-    if (s < best) {
-      best = s;
-      p[a_] = av;
-      p[b_] = bv;
-    }
-  };
-  for (double bv : {ib.lo, ib.hi, ib.Clamp(0.0), ib.Clamp(std::sqrt(std::max(
-                                      0.0, ia.lo))),
-                    ib.Clamp(std::sqrt(std::max(0.0, ia.hi)))}) {
-    consider(ia.Clamp(bv * bv), bv);
-  }
-  return p;
-}
-
-std::string GeneralAB::ToString() const {
-  std::ostringstream os;
-  os << "general((N" << a_ << "-N" << b_ << "^2)^2)";
-  return os.str();
-}
-
-ScoreExprPtr GeneralAB::Expr() const {
-  return ScoreExpr::Square(ScoreExpr::Sub(
-      ScoreExpr::Var(a_), ScoreExpr::Square(ScoreExpr::Var(b_))));
-}
-
-// -------------------------------------------------------- ConstrainedSum --
+    : ExprFunction(num_dims,
+                   ScoreExpr::Square(ScoreExpr::Sub(
+                       ScoreExpr::Var(a_dim),
+                       ScoreExpr::Square(ScoreExpr::Var(b_dim)))),
+                   "general") {}
 
 ConstrainedSum::ConstrainedSum(int num_dims, int a_dim, int b_dim, double lo,
                                double hi)
-    : r_(num_dims), a_(a_dim), b_(b_dim), lo_(lo), hi_(hi),
-      dims_({a_dim, b_dim}) {}
-
-double ConstrainedSum::Evaluate(const double* p) const {
-  if (p[b_] < lo_ || p[b_] > hi_) return kInfScore;
-  return p[a_] + p[b_];
-}
-
-void ConstrainedSum::EvaluateBatch(const Table& table, const Tid* tids,
-                                   size_t n, double* out) const {
-  // The 1.04x "speedup" of the generic batch path came from paying the full
-  // gather + virtual Evaluate per tuple; the function itself is two loads,
-  // a band test, and an add. Stream both columns directly instead. The
-  // branchless select keeps the loop vectorizable despite the band test.
-  const double* ca = table.rank_col(a_);
-  const double* cb = table.rank_col(b_);
-  const double lo = lo_, hi = hi_;
-  for (size_t i = 0; i < n; ++i) {
-    const Tid t = tids[i];
-    const double b = cb[t];
-    out[i] = (b < lo || b > hi) ? kInfScore : ca[t] + b;
-  }
-}
-
-double ConstrainedSum::LowerBound(const Box& box) const {
-  const Interval& ib = box[b_];
-  if (ib.hi < lo_ || ib.lo > hi_) return kInfScore;
-  return box[a_].lo + std::max(ib.lo, lo_);
-}
-
-std::vector<double> ConstrainedSum::Minimizer(const Box& box) const {
-  std::vector<double> p(r_);
-  for (int d = 0; d < r_; ++d) p[d] = box[d].lo;
-  // Stay inside the box even when it misses the constraint band (the
-  // returned point then scores +inf, matching the +inf lower bound).
-  p[b_] = box[b_].Clamp(std::max(box[b_].lo, lo_));
-  return p;
-}
-
-std::string ConstrainedSum::ToString() const {
-  std::ostringstream os;
-  os << "constrained((N" << a_ << "+N" << b_ << ")/eta[" << lo_ << "," << hi_
-     << "])";
-  return os.str();
-}
-
-ScoreExprPtr ConstrainedSum::Expr() const {
-  return ScoreExpr::Gate(
-      ScoreExpr::Add({ScoreExpr::Var(a_), ScoreExpr::Var(b_)}), b_, lo_, hi_);
-}
+    : ExprFunction(num_dims,
+                   ScoreExpr::Gate(ScoreExpr::Add({ScoreExpr::Var(a_dim),
+                                                   ScoreExpr::Var(b_dim)}),
+                                   b_dim, lo, hi),
+                   "constrained") {}
 
 }  // namespace rankcube

@@ -9,25 +9,24 @@
 //  * MonotoneDirections()  -> Ch5 neighborhood expansion, monotone case
 //  * SemiMonotoneCenter()  -> Ch5 neighborhood expansion, semi-monotone case
 //  * otherwise             -> Ch5 threshold expansion (general case)
+//
+// A ranking function is defined once, as a ScoreExpr tree
+// (func/score_expr.h). ExprFunction evaluates the tree, bounds it, and
+// derives the metadata above from its structure; the six built-in classes
+// at the bottom of this file are builders that hand ExprFunction the tree of
+// one of the paper's function families.
 #ifndef RANKCUBE_FUNC_RANKING_FUNCTION_H_
 #define RANKCUBE_FUNC_RANKING_FUNCTION_H_
 
-#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/geometry.h"
-#include "storage/table.h"
+#include "func/score_expr.h"
 
 namespace rankcube {
-
-class ScoreExpr;  // func/score_expr.h
-using ScoreExprPtr = std::shared_ptr<const ScoreExpr>;
-
-/// Positive infinity; the score of tuples excluded by a constrained function.
-inline constexpr double kInfScore = std::numeric_limits<double>::infinity();
 
 /// Abstract scoring function over the R ranking dimensions of a table.
 /// Points are passed as dense R-vectors; a function only reads the
@@ -46,23 +45,13 @@ class RankingFunction {
   /// Exact score of a point (array of R values).
   virtual double Evaluate(const double* point) const = 0;
 
-  /// Exact scores of `n` tuples of `table`: out[i] = f(tuple tids[i]). One
-  /// virtual call per block instead of per tuple. The default loops the
-  /// scalar path (gather + Evaluate) and is bit-identical to it; subclasses
-  /// override with column-direct loops that read table.rank_col(d) per
-  /// involved dimension and never materialize a row. Overrides must keep the
-  /// per-tuple floating-point operation order of Evaluate so batch and
-  /// scalar scores stay bit-identical (the batch parity test enforces this).
-  virtual void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                             double* out) const;
-
   /// Lower bound of f over `box` (box has R dims). Must satisfy
   /// LowerBound(box) <= Evaluate(p) for every p in box.
   virtual double LowerBound(const Box& box) const = 0;
 
   /// A point inside `box` with score close to LowerBound(box); used to seed
-  /// the Ch3 neighborhood search. The default samples box corners and the
-  /// per-dimension midpoints, which is exact for every function shipped here.
+  /// the Ch3 neighborhood search. The default probes a small lattice of
+  /// corners and intermediate points over the involved dimensions.
   virtual std::vector<double> Minimizer(const Box& box) const;
 
   /// True when f is convex on its domain (Definition 1), enabling Lemma 1.
@@ -82,10 +71,8 @@ class RankingFunction {
 
   virtual std::string ToString() const = 0;
 
-  /// The function as a ScoreExpr tree (func/score_expr.h) whose fold order
-  /// mirrors Evaluate() exactly, or null when no tree form exists. The fused
-  /// kernel layer classifies this tree to pick a specialized loop; null means
-  /// the generic EvaluateBatch path.
+  /// The function as a ScoreExpr tree, or null when it has none. The result
+  /// cache keys and certifies reuse on this tree.
   virtual ScoreExprPtr Expr() const { return nullptr; }
 
   double Evaluate(const std::vector<double>& p) const {
@@ -95,152 +82,111 @@ class RankingFunction {
 
 using RankingFunctionPtr = std::shared_ptr<const RankingFunction>;
 
+/// Any ScoreExpr tree as a RankingFunction over R dimensions: the one
+/// implementation of a ranking function. Evaluate walks the tree. The tree
+/// is classified once, at construction; for a recognized shape, LowerBound
+/// and Minimizer are the shape's closed forms over the plan's arrays and
+/// the fused kernels score it. Unrecognized trees bound by interval
+/// arithmetic (ScoreExpr::Range) and seed with a lattice probe — valid,
+/// only looser. Monotone directions come from the tree's structure,
+/// convexity and the semi-monotone center from the recognized shape.
+class ExprFunction : public RankingFunction {
+ public:
+  /// `num_dims` is R, the table's ranking dimensionality; `name` prefixes
+  /// ToString() (defaults to "expr").
+  ExprFunction(int num_dims, ScoreExprPtr expr, std::string name = "");
+
+  int num_dims() const override { return r_; }
+  /// Ascending.
+  const std::vector<int>& involved_dims() const override { return dims_; }
+  double Evaluate(const double* p) const override { return expr_->Eval(p); }
+  double LowerBound(const Box& box) const override;
+  std::vector<double> Minimizer(const Box& box) const override;
+  bool convex() const override { return convex_; }
+  std::optional<std::vector<int>> MonotoneDirections() const override {
+    return monotone_;
+  }
+  std::optional<std::vector<double>> SemiMonotoneCenter() const override {
+    return semi_center_;
+  }
+  std::string ToString() const override;
+  ScoreExprPtr Expr() const override { return expr_; }
+
+  /// The classification the kernel layer dispatches on.
+  const ExprPlan& plan() const { return plan_; }
+
+ private:
+  int r_;
+  ScoreExprPtr expr_;
+  std::string name_;
+  std::vector<int> dims_;
+  ExprPlan plan_;
+  bool convex_ = false;
+  std::optional<std::vector<int>> monotone_;
+  std::optional<std::vector<double>> semi_center_;
+};
+
 /// f = sum_i w_i * x_i over the dimensions with non-zero weight. Convex and
 /// monotone (weights may be negative, matching the thesis's remark that
 /// convexity generalizes linear-monotone with non-negative weights).
-class LinearFunction : public RankingFunction {
+class LinearFunction : public ExprFunction {
  public:
   /// `weights` has size R; zero entries are uninvolved dimensions.
   explicit LinearFunction(std::vector<double> weights);
-
-  int num_dims() const override { return static_cast<int>(w_.size()); }
-  const std::vector<int>& involved_dims() const override { return dims_; }
-  double Evaluate(const double* p) const override;
-  void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                     double* out) const override;
-  double LowerBound(const Box& box) const override;
-  std::vector<double> Minimizer(const Box& box) const override;
-  bool convex() const override { return true; }
-  std::optional<std::vector<int>> MonotoneDirections() const override;
-  std::string ToString() const override;
-  ScoreExprPtr Expr() const override;
 
   const std::vector<double>& weights() const { return w_; }
 
  private:
   std::vector<double> w_;
-  std::vector<int> dims_;
 };
 
 /// f = sum_i w_i * (x_i - t_i)^2 : the nearest-neighbor style distance query
-/// (Q2 in Example 1). Convex and semi-monotone around the target.
-class QuadraticDistance : public RankingFunction {
+/// (Q2 in Example 1). Convex and semi-monotone around the target when the
+/// weights are non-negative.
+class QuadraticDistance : public ExprFunction {
  public:
-  /// `weights` size R (0 = uninvolved); `targets` size R (entries for
-  /// uninvolved dims are ignored).
+  /// `weights` size R (0 = uninvolved); `targets` size R.
   QuadraticDistance(std::vector<double> weights, std::vector<double> targets);
 
-  int num_dims() const override { return static_cast<int>(w_.size()); }
-  const std::vector<int>& involved_dims() const override { return dims_; }
-  double Evaluate(const double* p) const override;
-  void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                     double* out) const override;
-  double LowerBound(const Box& box) const override;
+  /// The target clamped into `box` on every dimension, uninvolved ones
+  /// included (the tree does not carry their targets).
   std::vector<double> Minimizer(const Box& box) const override;
-  bool convex() const override { return true; }
-  std::optional<std::vector<double>> SemiMonotoneCenter() const override;
-  std::string ToString() const override;
-  ScoreExprPtr Expr() const override;
 
  private:
-  std::vector<double> w_;
   std::vector<double> t_;
-  std::vector<int> dims_;
 };
 
 /// f = sum_i w_i * |x_i - t_i| : L1 variant of the above.
-class L1Distance : public RankingFunction {
+class L1Distance : public ExprFunction {
  public:
   L1Distance(std::vector<double> weights, std::vector<double> targets);
 
-  int num_dims() const override { return static_cast<int>(w_.size()); }
-  const std::vector<int>& involved_dims() const override { return dims_; }
-  double Evaluate(const double* p) const override;
-  void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                     double* out) const override;
-  double LowerBound(const Box& box) const override;
+  /// As QuadraticDistance::Minimizer.
   std::vector<double> Minimizer(const Box& box) const override;
-  bool convex() const override { return true; }
-  std::optional<std::vector<double>> SemiMonotoneCenter() const override;
-  std::string ToString() const override;
-  ScoreExprPtr Expr() const override;
 
  private:
-  std::vector<double> w_;
   std::vector<double> t_;
-  std::vector<int> dims_;
 };
 
 /// f = (sum_i w_i * x_i)^2, e.g. the thesis's min-square-error query
-/// fg = (2X - Y - Z)^2 (§4.4.2). Convex but neither monotone nor
-/// semi-monotone in general.
-class SquaredLinear : public RankingFunction {
+/// fg = (2X - Y - Z)^2 (§4.4.2). Convex; monotone only when the weights
+/// share a sign.
+class SquaredLinear : public ExprFunction {
  public:
   explicit SquaredLinear(std::vector<double> weights);
-
-  int num_dims() const override { return static_cast<int>(w_.size()); }
-  const std::vector<int>& involved_dims() const override { return dims_; }
-  double Evaluate(const double* p) const override;
-  void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                     double* out) const override;
-  double LowerBound(const Box& box) const override;
-  std::vector<double> Minimizer(const Box& box) const override;
-  bool convex() const override { return true; }
-  std::string ToString() const override;
-  ScoreExprPtr Expr() const override;
-
- private:
-  double InnerInterval(const Box& box, double* lo, double* hi) const;
-
-  std::vector<double> w_;
-  std::vector<int> dims_;
 };
 
 /// fg = (x_a - x_b^2)^2 : the "general" non-convex query of §5.4.2.
-class GeneralAB : public RankingFunction {
+class GeneralAB : public ExprFunction {
  public:
   GeneralAB(int num_dims, int a_dim, int b_dim);
-
-  int num_dims() const override { return r_; }
-  const std::vector<int>& involved_dims() const override { return dims_; }
-  double Evaluate(const double* p) const override;
-  void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                     double* out) const override;
-  double LowerBound(const Box& box) const override;
-  std::vector<double> Minimizer(const Box& box) const override;
-  std::string ToString() const override;
-  ScoreExprPtr Expr() const override;
-
- private:
-  int r_;
-  int a_;
-  int b_;
-  std::vector<int> dims_;
 };
 
 /// fc = (x_a + x_b) / eta(x_b) with eta = 1 on [lo, hi] and 0 elsewhere:
 /// the constrained query of §5.4.2 (score is +inf outside the constraint).
-class ConstrainedSum : public RankingFunction {
+class ConstrainedSum : public ExprFunction {
  public:
   ConstrainedSum(int num_dims, int a_dim, int b_dim, double lo, double hi);
-
-  int num_dims() const override { return r_; }
-  const std::vector<int>& involved_dims() const override { return dims_; }
-  double Evaluate(const double* p) const override;
-  void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                     double* out) const override;
-  double LowerBound(const Box& box) const override;
-  std::vector<double> Minimizer(const Box& box) const override;
-  std::string ToString() const override;
-  ScoreExprPtr Expr() const override;
-
- private:
-  int r_;
-  int a_;
-  int b_;
-  double lo_;
-  double hi_;
-  std::vector<int> dims_;
 };
 
 }  // namespace rankcube

@@ -1,9 +1,9 @@
 #include "func/score_expr.h"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <sstream>
-
-#include "func/kernels/kernels.h"
 
 namespace rankcube {
 
@@ -63,63 +63,81 @@ std::optional<int> CombineMono(std::optional<int> a, std::optional<int> b) {
 
 // ------------------------------------------------------------- factories --
 
+struct ScoreExpr::Gated : ScoreExpr {
+  Gated(Key key, double lo, double hi)
+      : ScoreExpr(key, ExprKind::kGate), band_lo(lo), band_hi(hi) {}
+  double band_lo, band_hi;
+};
+
+double ScoreExpr::band_lo() const {
+  return kind_ == ExprKind::kGate ? static_cast<const Gated*>(this)->band_lo
+                                  : 0.0;
+}
+
+double ScoreExpr::band_hi() const {
+  return kind_ == ExprKind::kGate ? static_cast<const Gated*>(this)->band_hi
+                                  : 0.0;
+}
+
 ScoreExprPtr ScoreExpr::Const(double value) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kConst;
+  auto e = std::make_shared<ScoreExpr>(Key(), ExprKind::kConst);
   e->value_ = value;
   return e;
 }
 
 ScoreExprPtr ScoreExpr::Var(int dim) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kVar;
-  e->dim_ = dim;
-  return e;
+  // Nodes are immutable, so every tree shares one node per dimension
+  // (three of the ten nodes of a 3-dimension linear function).
+  constexpr int kShared = 64;
+  auto make = [](int d) {
+    auto e = std::make_shared<ScoreExpr>(Key(), ExprKind::kVar);
+    e->dim_ = d;
+    return e;
+  };
+  static const std::array<ScoreExprPtr, kShared> shared = [&make] {
+    std::array<ScoreExprPtr, kShared> vars;
+    for (int d = 0; d < kShared; ++d) vars[d] = make(d);
+    return vars;
+  }();
+  if (dim >= 0 && dim < kShared) return shared[dim];
+  return make(dim);
 }
 
 ScoreExprPtr ScoreExpr::Add(std::vector<ScoreExprPtr> children) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kAdd;
+  auto e = std::make_shared<ScoreExpr>(Key(), ExprKind::kAdd);
   e->children_ = std::move(children);
   return e;
 }
 
 ScoreExprPtr ScoreExpr::Mul(std::vector<ScoreExprPtr> children) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kMul;
+  auto e = std::make_shared<ScoreExpr>(Key(), ExprKind::kMul);
   e->children_ = std::move(children);
   return e;
 }
 
 ScoreExprPtr ScoreExpr::Sub(ScoreExprPtr a, ScoreExprPtr b) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kSub;
+  auto e = std::make_shared<ScoreExpr>(Key(), ExprKind::kSub);
   e->children_ = {std::move(a), std::move(b)};
   return e;
 }
 
 ScoreExprPtr ScoreExpr::Abs(ScoreExprPtr child) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kAbs;
+  auto e = std::make_shared<ScoreExpr>(Key(), ExprKind::kAbs);
   e->children_ = {std::move(child)};
   return e;
 }
 
 ScoreExprPtr ScoreExpr::Square(ScoreExprPtr child) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kSquare;
+  auto e = std::make_shared<ScoreExpr>(Key(), ExprKind::kSquare);
   e->children_ = {std::move(child)};
   return e;
 }
 
 ScoreExprPtr ScoreExpr::Gate(ScoreExprPtr child, int dim, double lo,
                              double hi) {
-  auto e = std::shared_ptr<ScoreExpr>(new ScoreExpr());
-  e->kind_ = ExprKind::kGate;
-  e->children_ = {std::move(child)};
+  auto e = std::make_shared<Gated>(Key(), lo, hi);
   e->dim_ = dim;
-  e->band_lo_ = lo;
-  e->band_hi_ = hi;
+  e->children_ = {std::move(child)};
   return e;
 }
 
@@ -153,7 +171,7 @@ double ScoreExpr::Eval(const double* point) const {
     }
     case ExprKind::kGate: {
       const double x = point[dim_];
-      if (x < band_lo_ || x > band_hi_) return kInfScore;
+      if (x < band_lo() || x > band_hi()) return kInfScore;
       return children_[0]->Eval(point);
     }
   }
@@ -209,14 +227,15 @@ Interval ScoreExpr::Range(const Box& box) const {
       return IntervalSquare(children_[0]->Range(box));
     case ExprKind::kGate: {
       const Interval& iv = box[dim_];
-      if (iv.hi < band_lo_ || iv.lo > band_hi_) {
+      if (iv.hi < band_lo() || iv.lo > band_hi()) {
         return {kInfScore, kInfScore};
       }
       // Inside the box the gate only passes points within the band:
       // restrict the dimension before bounding the body (the same
-      // tightening the legacy ConstrainedSum::LowerBound applies).
+      // tightening the constrained-sum closed form applies).
       Box refined = box;
-      refined[dim_] = {std::max(iv.lo, band_lo_), std::min(iv.hi, band_hi_)};
+      refined[dim_] = {std::max(iv.lo, band_lo()),
+                       std::min(iv.hi, band_hi())};
       return children_[0]->Range(refined);
     }
   }
@@ -418,7 +437,7 @@ std::string ScoreExpr::ToString() const {
       os << children_[0]->ToString() << "^2";
       break;
     case ExprKind::kGate:
-      os << "gate(N" << dim_ << " in [" << band_lo_ << "," << band_hi_
+      os << "gate(N" << dim_ << " in [" << band_lo() << "," << band_hi()
          << "]; " << children_[0]->ToString() << ")";
       break;
   }
@@ -526,26 +545,6 @@ bool MatchLinear(const ScoreExpr& e, ExprPlan* plan) {
 
 }  // namespace
 
-const char* FuncShapeName(FuncShape shape) {
-  switch (shape) {
-    case FuncShape::kGeneric:
-      return "generic";
-    case FuncShape::kLinear:
-      return "linear";
-    case FuncShape::kQuadratic:
-      return "quadratic";
-    case FuncShape::kL1:
-      return "l1";
-    case FuncShape::kSquaredLinear:
-      return "squared_linear";
-    case FuncShape::kGeneralAB:
-      return "general_ab";
-    case FuncShape::kConstrainedSum:
-      return "constrained_sum";
-  }
-  return "generic";
-}
-
 ExprPlan ClassifyExpr(const ScoreExpr& expr) {
   ExprPlan plan;
 
@@ -619,101 +618,6 @@ ExprPlan ClassifyExpr(const ScoreExpr& expr) {
     return plan;
   }
   return ExprPlan();
-}
-
-// ---------------------------------------------------------- ExprFunction --
-
-ExprFunction::ExprFunction(int num_dims, ScoreExprPtr expr, std::string name)
-    : r_(num_dims), expr_(std::move(expr)), name_(std::move(name)) {
-  std::vector<bool> involved(r_, false);
-  expr_->CollectDims(&involved);
-  for (int d = 0; d < r_; ++d) {
-    if (involved[d]) dims_.push_back(d);
-  }
-  plan_ = ClassifyExpr(*expr_);
-
-  bool weights_nonneg = true;
-  for (double w : plan_.weights) weights_nonneg &= w >= 0.0;
-  switch (plan_.shape) {
-    case FuncShape::kLinear:
-    case FuncShape::kSquaredLinear:
-      convex_ = true;
-      break;
-    case FuncShape::kQuadratic:
-    case FuncShape::kL1:
-      convex_ = weights_nonneg;
-      break;
-    default:
-      convex_ = false;
-  }
-
-  // Structural monotone directions over the normalized [0,1]^R domain; a
-  // single unknown dimension forfeits the claim (conservative: engines that
-  // need monotonicity simply are not offered it).
-  Box unit = Box::Unit(static_cast<size_t>(r_));
-  std::vector<int> dirs;
-  dirs.reserve(dims_.size());
-  bool all_known = true;
-  for (int d : dims_) {
-    std::optional<int> m = expr_->Monotonicity(d, unit);
-    if (!m) {
-      all_known = false;
-      break;
-    }
-    dirs.push_back(*m == 0 ? +1 : *m);  // constant-in-dim is trivially both
-  }
-  if (all_known && !dims_.empty()) monotone_ = std::move(dirs);
-
-  // Semi-monotone center for recognized distance shapes with non-negative
-  // weights and one term per dimension.
-  if ((plan_.shape == FuncShape::kQuadratic ||
-       plan_.shape == FuncShape::kL1) &&
-      weights_nonneg && plan_.dims.size() == dims_.size()) {
-    std::vector<double> center(dims_.size(), 0.0);
-    bool unique = true;
-    std::vector<bool> seen(r_, false);
-    for (size_t j = 0; j < plan_.dims.size(); ++j) {
-      int d = plan_.dims[j];
-      if (d < 0 || d >= r_ || seen[d]) {
-        unique = false;
-        break;
-      }
-      seen[d] = true;
-      size_t pos = 0;
-      while (dims_[pos] != d) ++pos;
-      center[pos] = plan_.targets[j];
-    }
-    if (unique) semi_center_ = std::move(center);
-  }
-}
-
-void ExprFunction::EvaluateBatch(const Table& table, const Tid* tids,
-                                 size_t n, double* out) const {
-  // A classified tree runs the same specialized column-direct kernel the
-  // fused scorer dispatches to; unrecognized trees take the generic
-  // gather-and-walk path. Both are bit-identical to Eval.
-  if (plan_.shape != FuncShape::kGeneric &&
-      kernels::EvalDispatch(plan_, table, tids, n, out)) {
-    return;
-  }
-  RankingFunction::EvaluateBatch(table, tids, n, out);
-}
-
-double ExprFunction::LowerBound(const Box& box) const {
-  return expr_->Range(box).lo;
-}
-
-std::optional<std::vector<int>> ExprFunction::MonotoneDirections() const {
-  return monotone_;
-}
-
-std::optional<std::vector<double>> ExprFunction::SemiMonotoneCenter() const {
-  return semi_center_;
-}
-
-std::string ExprFunction::ToString() const {
-  if (!name_.empty()) return name_ + "(" + expr_->ToString() + ")";
-  return "expr(" + expr_->ToString() + ")";
 }
 
 }  // namespace rankcube

@@ -1,41 +1,45 @@
-// Ranking functions as a small expression tree (the "algorithm" half of the
-// Halide-style split the ROADMAP calls for): a ScoreExpr is a closed algebra
-// of arithmetic nodes over the R ranking dimensions, and every built-in
-// RankingFunction class describes itself as one (RankingFunction::Expr()).
-// Two consumers read the tree:
+// Ranking functions as a small expression tree: a ScoreExpr is a closed
+// algebra of arithmetic nodes over the R ranking dimensions. It is the one
+// definition of a ranking function in this repository — ExprFunction
+// (func/ranking_function.h) wraps a tree as a RankingFunction, and every
+// built-in function class is a builder of such a tree. Two consumers read
+// the tree:
 //
-//  * ExprFunction wraps any tree as a full RankingFunction — Evaluate walks
-//    the tree, LowerBound comes from interval arithmetic (always a valid
-//    box bound, so every pruning engine stays correct), and monotone /
-//    semi-monotone / convex metadata is derived structurally. This is the
-//    user-defined-function entry point: any monotone combination a caller
-//    assembles becomes a first-class query the planner can route.
+//  * ExprFunction evaluates it (Eval), bounds it over boxes, and derives
+//    monotone / semi-monotone / convex metadata structurally.
 //
 //  * ClassifyExpr pattern-matches the tree against the kernel-specializable
 //    shapes (linear / quadratic / L1 / squared-linear / general-AB /
-//    constrained-sum) and flattens it into an ExprPlan, which the fused
-//    kernel layer (func/kernels/) binds to table columns. A user tree that
-//    happens to be, say, linear is dispatched to the same fused loop as
-//    LinearFunction itself; anything unrecognized falls back to the generic
-//    batch path and is merely slower, never wrong.
+//    constrained-sum) and flattens it into an ExprPlan. The fused kernel
+//    layer (func/kernels/) binds that plan to table columns, and
+//    ExprFunction computes the shape's closed-form box bound from it. A
+//    user tree that happens to be, say, linear gets the same loop and bound
+//    as LinearFunction itself; anything unrecognized falls back to the
+//    generic tree walk and interval bounds and is merely slower, never
+//    wrong.
 //
 // Bit-exactness contract: Eval() uses fixed left-to-right folds, and the
-// trees emitted by the legacy classes mirror their Evaluate() operation
-// order exactly, so tree evaluation, the legacy scalar path, the
-// column-direct EvaluateBatch overrides, and the specialized kernels all
-// produce identical doubles (the parity tests compare with ==).
+// specialized kernels reproduce those folds exactly, so tree evaluation and
+// the kernels produce identical doubles (the parity tests compare with ==).
 #ifndef RANKCUBE_FUNC_SCORE_EXPR_H_
 #define RANKCUBE_FUNC_SCORE_EXPR_H_
 
+#include <limits>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/geometry.h"
-#include "func/ranking_function.h"
 
 namespace rankcube {
+
+/// Positive infinity; the score of tuples excluded by a constrained function
+/// (the value of a Gate node outside its band).
+inline constexpr double kInfScore = std::numeric_limits<double>::infinity();
+
+class ScoreExpr;
+using ScoreExprPtr = std::shared_ptr<const ScoreExpr>;
 
 /// Node kinds of the score algebra. Add and Mul are n-ary with defined
 /// left-to-right folding; everything else is unary/binary.
@@ -49,9 +53,6 @@ enum class ExprKind {
   kSquare,  ///< child * child (child evaluated once)
   kGate,    ///< +inf when N_dim outside [band_lo, band_hi], else child
 };
-
-class ScoreExpr;
-// ScoreExprPtr is declared in ranking_function.h next to Expr().
 
 /// Immutable expression node. Build with the static factories; nodes are
 /// shared freely (shared_ptr) and never mutated after construction.
@@ -70,8 +71,9 @@ class ScoreExpr {
   ExprKind kind() const { return kind_; }
   double value() const { return value_; }
   int dim() const { return dim_; }
-  double band_lo() const { return band_lo_; }
-  double band_hi() const { return band_hi_; }
+  /// kGate: the band N_dim must lie in; 0 for every other kind.
+  double band_lo() const;
+  double band_hi() const;
   const std::vector<ScoreExprPtr>& children() const { return children_; }
 
   /// Exact score of a point (array of R values); deterministic fold order.
@@ -95,13 +97,23 @@ class ScoreExpr {
 
   std::string ToString() const;
 
- private:
-  ScoreExpr() = default;
+  /// Constructible only by the factories (the passkey idiom, so that
+  /// std::make_shared can reach the constructor).
+  class Key {
+    friend class ScoreExpr;
+    explicit Key() = default;
+  };
+  ScoreExpr(Key, ExprKind kind) : kind_(kind) {}
 
-  ExprKind kind_ = ExprKind::kConst;
-  double value_ = 0.0;  ///< kConst
+ private:
+  struct Gated;  ///< a kGate node: this plus its band (score_expr.cc)
+
+  // A function holds its tree for its whole life, and callers hold many
+  // functions at once, so a node is one small allocation: the band lives
+  // only in Gated nodes.
+  ExprKind kind_;
   int dim_ = -1;        ///< kVar / kGate
-  double band_lo_ = 0.0, band_hi_ = 0.0;  ///< kGate
+  double value_ = 0.0;  ///< kConst
   std::vector<ScoreExprPtr> children_;
 };
 
@@ -116,8 +128,8 @@ class ScoreExpr {
 /// an underestimate.
 double MaxAbsDiff(const ScoreExpr& a, const ScoreExpr& b, const Box& box);
 
-/// Function shapes the kernel layer specializes. kGeneric means "no fused
-/// kernel; use the generic EvaluateBatch path".
+/// Function shapes the kernel layer specializes and ExprFunction bounds in
+/// closed form. kGeneric means "no fused kernel, interval bounds".
 enum class FuncShape {
   kGeneric,
   kLinear,
@@ -127,8 +139,6 @@ enum class FuncShape {
   kGeneralAB,
   kConstrainedSum,
 };
-
-const char* FuncShapeName(FuncShape shape);
 
 /// A classified tree, flattened to the per-term arrays a kernel consumes.
 /// `dims/weights/targets` run in evaluation (fold) order — the kernel
@@ -149,44 +159,6 @@ struct ExprPlan {
 /// accepted), so a specialized kernel is bit-identical to Eval by
 /// construction. Unrecognized trees come back kGeneric.
 ExprPlan ClassifyExpr(const ScoreExpr& expr);
-
-/// Any ScoreExpr tree as a RankingFunction over R dimensions. The entry
-/// point for user-defined ranking functions: monotone combinations get
-/// exact MonotoneDirections (enabling the Ch5 monotone search), recognized
-/// shapes get convex()/SemiMonotoneCenter() and the fused kernels, and
-/// everything else still executes correctly through interval lower bounds
-/// and the generic scan paths.
-class ExprFunction : public RankingFunction {
- public:
-  /// `num_dims` is R, the table's ranking dimensionality; `name` appears in
-  /// ToString() (defaults to the tree's own rendering).
-  ExprFunction(int num_dims, ScoreExprPtr expr, std::string name = "");
-
-  int num_dims() const override { return r_; }
-  const std::vector<int>& involved_dims() const override { return dims_; }
-  double Evaluate(const double* p) const override { return expr_->Eval(p); }
-  void EvaluateBatch(const Table& table, const Tid* tids, size_t n,
-                     double* out) const override;
-  double LowerBound(const Box& box) const override;
-  bool convex() const override { return convex_; }
-  std::optional<std::vector<int>> MonotoneDirections() const override;
-  std::optional<std::vector<double>> SemiMonotoneCenter() const override;
-  std::string ToString() const override;
-  ScoreExprPtr Expr() const override { return expr_; }
-
-  /// The classification the kernel layer dispatches on.
-  const ExprPlan& plan() const { return plan_; }
-
- private:
-  int r_;
-  ScoreExprPtr expr_;
-  std::string name_;
-  std::vector<int> dims_;  ///< ascending involved dimensions
-  ExprPlan plan_;
-  bool convex_ = false;
-  std::optional<std::vector<int>> monotone_;
-  std::optional<std::vector<double>> semi_center_;
-};
 
 }  // namespace rankcube
 

@@ -69,7 +69,7 @@ class Engine {
 
     while (!heap_.empty()) {
       GlobalEntry top = heap_.top();
-      if (topk_.Full() && topk_.KthScore() <= top.score) break;
+      if (topk_.KthScore() <= top.score) break;
       heap_.pop();
       State* s = top.state;
       if (!s->examined) {

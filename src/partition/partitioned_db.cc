@@ -403,7 +403,11 @@ Result<CompactionReport> PartitionedDb::Compact() {
     total.maintained += r.maintained;
     total.rebuilt += r.rebuilt;
     total.pages += r.pages;
-    RecomputeRankBox(part.get());
+    // Only absorbed rows change the tight box: an insert already grew the
+    // kept box, a delete left it loose.
+    if (r.absorbed_inserts + r.absorbed_deletes > 0) {
+      RecomputeRankBox(part.get());
+    }
   }
   return total;
 }
@@ -499,9 +503,11 @@ Result<PartitionedTopK> PartitionedDb::Query(const TopKQuery& query,
                                           : kInfScore;
     // Form the next wave: candidates are bound-ascending, so the first one
     // the full heap's S_k strictly beats ends both the wave and the query —
-    // every later candidate is at least as hopeless.
+    // every later candidate is at least as hopeless. So does the first
+    // +inf bound: no tuple of that partition can score finitely.
     size_t end = cursor;
     while (end < plan.candidates.size() && end - cursor < wave_max &&
+           plan.candidates[end].bound < kInfScore &&
            !(merged.size() >= k && plan.candidates[end].bound > s_k)) {
       ++end;
     }

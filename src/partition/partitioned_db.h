@@ -206,9 +206,10 @@ class PartitionedDb {
   Status Delete(const std::string& partition, Tid tid);
 
   /// Compacts every partition (absorb delta, refresh structures,
-  /// checkpoint when durable) and recomputes its exact rank bounding box —
-  /// the boxes only ever grow between compactions, so this also restores
-  /// tight score bounds for pruning.
+  /// checkpoint when durable) and recomputes the exact rank bounding box of
+  /// each partition that absorbed rows — the boxes only ever grow between
+  /// compactions, so this also restores tight score bounds for pruning. A
+  /// partition with nothing to absorb costs nothing.
   Result<CompactionReport> Compact();  ///< aggregated over partitions
 
   /// Durable-shutdown barrier: Checkpoint() on every partition.

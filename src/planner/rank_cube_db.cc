@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "common/stopwatch.h"
+#include "func/kernels/kernels.h"
 #include "func/score_expr.h"
 #include "planner/cost_model.h"
 
@@ -207,6 +208,20 @@ Result<CompactionReport> RankCubeDb::Compact() {
 
   CompactionReport report;
   const DeltaStore& delta = table_.delta();
+  report.epoch = table_.epoch();
+  // Nothing to absorb: no row changed since the last compaction, every
+  // built structure is fresh, and (when durable) the last successful
+  // checkpoint already holds this epoch. Stats, catalog and checkpoint would
+  // come out the same, so none is redone.
+  bool clean = delta.compacted_epoch() == delta.epoch() &&
+               (durability_ == nullptr ||
+                durability_->checkpoint_epoch() == table_.epoch());
+  for (const auto& [name, engine] : engines_) {
+    (void)name;
+    clean = clean && engine->Freshness().fresh();
+  }
+  if (clean) return report;
+
   report.absorbed_inserts = delta.InsertsSince(delta.compacted_epoch());
   report.absorbed_deletes = delta.DeletesSince(delta.compacted_epoch());
   uint64_t pages_before = build_io_.TotalPhysical();
@@ -242,7 +257,6 @@ Result<CompactionReport> RankCubeDb::Compact() {
     (void)name;
     catalog_.Put(engine->Describe());
   }
-  report.epoch = table_.epoch();
   report.pages = build_io_.TotalPhysical() - pages_before;
 
   if (durability_ != nullptr) {
@@ -317,13 +331,14 @@ std::optional<TopKResult> RankCubeDb::TryReuseLocked(
   std::vector<Tid> tids(n);
   for (size_t i = 0; i < n; ++i) tids[i] = entry.tuples[i].tid;
   std::vector<double> scores(n);
-  query.function->EvaluateBatch(table_, tids.data(), n, scores.data());
+  kernels::BlockEvaluator(table_, *query.function)
+      .Score(tids.data(), n, scores.data());
   TopKHeap heap(query.k);
   for (size_t i = 0; i < n; ++i) {
     // Cost honesty: re-ranking touches each candidate row, so it pays the
     // same per-row page charge the scan paths do.
     table_.ChargeRowFetch(ctx.io, tids[i]);
-    if (scores[i] < kInfScore) heap.Offer(tids[i], scores[i]);
+    heap.Offer(tids[i], scores[i]);
   }
   if (!entry.complete) {
     // Exactness requires k results strictly better than anything the

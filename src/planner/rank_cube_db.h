@@ -103,7 +103,8 @@ struct DbStats {
   std::string degraded_reason;     ///< set iff read_only
   uint64_t checkpoint_epoch = 0;   ///< epoch of the live checkpoint file
   /// Checkpoints committed over the data dir's lifetime (1 = seed);
-  /// advances on every Checkpoint()/Compact() even when the epoch did not.
+  /// advances on every Checkpoint() even when the epoch did not, and on
+  /// every Compact() that has work to do.
   uint64_t checkpoint_generation = 0;
   uint64_t wal_records = 0;  ///< records in the live WAL segment — i.e.
                              ///< since the last checkpoint (the recovery
@@ -194,7 +195,10 @@ class RankCubeDb {
   /// the log, recomputes TableStats and upgrades every catalog entry to
   /// the maintained structure's exact Describe(). After Compact, queries
   /// pay no delta overlay until the next write. Rebuilds invalidate
-  /// pointers previously returned by Engine() for the rebuilt keys.
+  /// pointers previously returned by Engine() for the rebuilt keys. With
+  /// nothing to absorb (empty log, every built structure fresh, and when
+  /// durable the last successful checkpoint at the current epoch) it does
+  /// nothing — no stats, catalog or checkpoint pass — and reports zeros.
   Result<CompactionReport> Compact();
 
   // --- read path ----------------------------------------------------------

@@ -1,8 +1,9 @@
-// Batch-vs-scalar parity: EvaluateBatch must be bit-identical to per-tuple
-// Evaluate for every RankingFunction class (the column-direct overrides and
-// the default), and OfferBatch must produce exactly the same top-k as
-// repeated Offer. These are the invariants that let every Execute path run
-// on the batch API without changing a single reported score.
+// Block-scoring parity: BlockEvaluator (the fused kernels and the generic
+// gather-and-Evaluate loop behind them) must be bit-identical to per-tuple
+// Evaluate for every function, every builtin shape must reach a kernel,
+// OfferBatch must produce exactly the same top-k as repeated Offer, and
+// TopKHeap must never admit a +inf score. These are the invariants that let
+// every Execute path score blocks without changing a single reported score.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,7 +17,6 @@
 #include "core/topk_query.h"
 #include "func/kernels/kernels.h"
 #include "func/ranking_function.h"
-#include "func/score_expr.h"
 #include "gen/synthetic.h"
 
 namespace rankcube {
@@ -67,77 +67,6 @@ std::vector<Tid> ScrambledTids(const Table& table, Rng* rng) {
   return tids;
 }
 
-/// Asserts EvaluateBatch == per-tuple Evaluate, bitwise (+inf included).
-void ExpectBatchParity(const RankingFunction& f, const Table& table,
-                       const std::vector<Tid>& tids) {
-  std::vector<double> batch(tids.size());
-  f.EvaluateBatch(table, tids.data(), tids.size(), batch.data());
-
-  std::vector<double> point(table.num_rank_dims());
-  for (size_t i = 0; i < tids.size(); ++i) {
-    table.CopyRankRow(tids[i], point.data());
-    const double scalar = f.Evaluate(point.data());
-    // Bit-identical, not just close: engines report these scores and the
-    // parity tests compare them with ==. EXPECT_EQ handles +-inf.
-    EXPECT_EQ(scalar, batch[i])
-        << f.ToString() << " diverges at tid " << tids[i];
-    EXPECT_FALSE(std::isnan(batch[i])) << f.ToString();
-  }
-}
-
-TEST(EvaluateBatchParityTest, AllFunctionClassesRandomized) {
-  for (uint64_t seed : {1u, 2u, 3u}) {
-    Table table = MakeTable(seed);
-    Rng rng(1000 + seed);
-    std::vector<Tid> tids = ScrambledTids(table, &rng);
-
-    std::vector<std::shared_ptr<const RankingFunction>> funcs;
-    funcs.push_back(
-        std::make_shared<LinearFunction>(RandomWeights(&rng, true)));
-    funcs.push_back(std::make_shared<QuadraticDistance>(
-        RandomWeights(&rng, false), RandomTargets(&rng)));
-    funcs.push_back(std::make_shared<L1Distance>(RandomWeights(&rng, false),
-                                                 RandomTargets(&rng)));
-    funcs.push_back(
-        std::make_shared<SquaredLinear>(RandomWeights(&rng, true)));
-    funcs.push_back(std::make_shared<GeneralAB>(kRankDims, 0, 1));
-    // A tight constraint band so plenty of tuples score +inf.
-    funcs.push_back(
-        std::make_shared<ConstrainedSum>(kRankDims, 0, 1, 0.4, 0.6));
-
-    for (const auto& f : funcs) ExpectBatchParity(*f, table, tids);
-  }
-}
-
-TEST(EvaluateBatchParityTest, ConstrainedSumInfinityHandling) {
-  Table table = MakeTable(7);
-  ConstrainedSum f(kRankDims, 0, 1, 0.25, 0.75);
-  std::vector<Tid> tids(table.num_rows());
-  for (Tid t = 0; t < static_cast<Tid>(table.num_rows()); ++t) tids[t] = t;
-  std::vector<double> batch(tids.size());
-  f.EvaluateBatch(table, tids.data(), tids.size(), batch.data());
-  size_t inf_count = 0;
-  for (double s : batch) {
-    ASSERT_FALSE(std::isnan(s));
-    if (s == kInfScore) ++inf_count;
-  }
-  // The band covers half the domain, so both branches must occur.
-  EXPECT_GT(inf_count, 0u);
-  EXPECT_LT(inf_count, batch.size());
-}
-
-TEST(EvaluateBatchParityTest, EmptyAndSingletonBlocks) {
-  Table table = MakeTable(11);
-  LinearFunction f({1.0, 0.5, 0.0, 0.0});
-  f.EvaluateBatch(table, nullptr, 0, nullptr);  // must be a no-op
-  Tid tid = 42;
-  double out = -1.0;
-  f.EvaluateBatch(table, &tid, 1, &out);
-  std::vector<double> point(kRankDims);
-  table.CopyRankRow(tid, point.data());
-  EXPECT_EQ(out, f.Evaluate(point.data()));
-}
-
 TEST(OfferBatchParityTest, MatchesRepeatedOffer) {
   Rng rng(99);
   for (int k : {1, 5, 64}) {
@@ -166,9 +95,9 @@ TEST(OfferBatchParityTest, MatchesRepeatedOffer) {
 
 /// The six built-in function classes with randomized parameters: the full
 /// set of kernel-specializable shapes.
-std::vector<std::shared_ptr<const RankingFunction>> AllShapeFunctions(
+std::vector<std::shared_ptr<const ExprFunction>> AllShapeFunctions(
     Rng* rng) {
-  std::vector<std::shared_ptr<const RankingFunction>> funcs;
+  std::vector<std::shared_ptr<const ExprFunction>> funcs;
   funcs.push_back(std::make_shared<LinearFunction>(RandomWeights(rng, true)));
   funcs.push_back(std::make_shared<QuadraticDistance>(
       RandomWeights(rng, false), RandomTargets(rng)));
@@ -204,12 +133,9 @@ TEST(FusedKernelParityTest, IndexedAndDenseMatchScalarOracle) {
     }
 
     for (const auto& f : AllShapeFunctions(&rng)) {
-      ScoreExprPtr expr = f->Expr();
-      ASSERT_NE(expr, nullptr) << f->ToString();
-      ExprPlan plan = ClassifyExpr(*expr);
+      const ExprPlan& plan = f->plan();
       ASSERT_NE(plan.shape, FuncShape::kGeneric)
-          << f->ToString() << " tree did not classify: "
-          << expr->ToString();
+          << f->ToString() << " tree did not classify";
       kernels::BoundPlan bound;
       ASSERT_TRUE(kernels::Bind(plan, table, &bound)) << f->ToString();
       kernels::Kernel kernel = kernels::Resolve(bound);
@@ -322,29 +248,91 @@ TEST(FusedScorerTest, BlockExactlyAtThresholdLeavesHeapUntouched) {
   EXPECT_EQ(topk.KthScore(), sk);
 }
 
-TEST(FusedScorerTest, DropInfCompactsConstrainedTuples) {
+TEST(TopKHeapTest, RefusesInfiniteScores) {
+  TopKHeap heap(3);
+  heap.Offer(1, kInfScore);
+  EXPECT_EQ(heap.size(), 0u);
+  const Tid tids[] = {2, 3, 4, 5};
+  const double scores[] = {kInfScore, 0.5, kInfScore, 0.25};
+  heap.OfferBatch(tids, scores, 4);
+  // Two finite scores for k = 3: the heap is short, and S_k stays +inf so
+  // only a +inf bound stops a search.
+  EXPECT_EQ(heap.Sorted(), (std::vector<ScoredTuple>{{5, 0.25}, {3, 0.5}}));
+  EXPECT_FALSE(heap.Full());
+  EXPECT_EQ(heap.KthScore(), kInfScore);
+}
+
+TEST(TopKHeapTest, GatedScanKeepsOnlyInBandTuples) {
   Table table = MakeTable(17);
   ConstrainedSum f(kRankDims, 0, 1, 0.4, 0.6);
   const Tid n = static_cast<Tid>(table.num_rows());
-  TopKHeap drop_heap(static_cast<int>(n));
+  TopKHeap heap(static_cast<int>(n));
   ExecStats stats;
-  kernels::FusedScorer scorer(table, f, &drop_heap, &stats,
-                              {.drop_inf = true});
+  kernels::FusedScorer scorer(table, f, &heap, &stats);
   for (Tid t = 0; t < n; ++t) scorer.Add(t);
   scorer.Flush();
-  // With k = num_rows and drop_inf, the heap holds exactly the in-band
-  // tuples: no +inf score may survive the compaction.
-  std::vector<double> expect = ScalarOracle(
-      f, table, [n] {
-        std::vector<Tid> all(n);
-        for (Tid t = 0; t < n; ++t) all[t] = t;
-        return all;
-      }());
+  // With k = num_rows the heap holds exactly the in-band tuples.
+  std::vector<Tid> all(n);
+  for (Tid t = 0; t < n; ++t) all[t] = t;
   size_t finite = 0;
-  for (double s : expect) finite += (s < kInfScore);
-  auto sorted = drop_heap.Sorted();
+  for (double s : ScalarOracle(f, table, all)) finite += (s < kInfScore);
+  ASSERT_GT(finite, 0u);
+  ASSERT_LT(finite, static_cast<size_t>(n));
+  auto sorted = heap.Sorted();
   ASSERT_EQ(sorted.size(), finite);
   for (const auto& st : sorted) EXPECT_LT(st.score, kInfScore);
+  EXPECT_EQ(stats.tuples_evaluated, static_cast<uint64_t>(n));
+}
+
+TEST(BlockEvaluatorTest, EmptyAndSingletonBlocks) {
+  Table table = MakeTable(11);
+  LinearFunction f({1.0, 0.5, 0.0, 0.0});
+  std::vector<double> point(kRankDims);
+  const Tid tid = 42;
+  table.CopyRankRow(tid, point.data());
+  for (bool kernels_on : {true, false}) {
+    if (!kernels_on) {
+      ASSERT_EQ(setenv("RANKCUBE_FUSED_KERNELS", "0", 1), 0);
+    }
+    kernels::BlockEvaluator eval(table, f);
+    ASSERT_EQ(unsetenv("RANKCUBE_FUSED_KERNELS"), 0);
+    EXPECT_EQ(eval.fused(), kernels_on);
+    eval.Score(nullptr, 0, nullptr);  // must be a no-op
+    double out = -1.0;
+    eval.Score(&tid, 1, &out);
+    EXPECT_EQ(out, f.Evaluate(point.data()));
+  }
+}
+
+TEST(BlockEvaluatorTest, EveryBuiltinShapeReachesAKernelAtEveryWidth) {
+  // With kernels on, no builtin function may fall to the generic tree walk:
+  // every shape at every involved-dimension count up to kMaxDims binds a
+  // specialized loop.
+  SyntheticSpec spec;
+  spec.num_rows = 64;
+  spec.num_sel_dims = 1;
+  spec.cardinality = 2;
+  spec.num_rank_dims = kernels::kMaxDims;
+  spec.seed = 3;
+  Table table = GenerateSynthetic(spec);
+  const int r = kernels::kMaxDims;
+  for (int d = 1; d <= r; ++d) {
+    std::vector<double> w(r, 0.0), t(r, 0.5);
+    for (int j = 0; j < d; ++j) w[r - 1 - j] = 0.25 + j;
+    SCOPED_TRACE("involved dims: " + std::to_string(d));
+    EXPECT_TRUE(kernels::BlockEvaluator(table, LinearFunction(w)).fused());
+    EXPECT_TRUE(
+        kernels::BlockEvaluator(table, QuadraticDistance(w, t)).fused());
+    EXPECT_TRUE(kernels::BlockEvaluator(table, L1Distance(w, t)).fused());
+    EXPECT_TRUE(kernels::BlockEvaluator(table, SquaredLinear(w)).fused());
+  }
+  for (int a = 0; a < r; ++a) {
+    const int b = (a + 3) % r;
+    EXPECT_TRUE(kernels::BlockEvaluator(table, GeneralAB(r, a, b)).fused());
+    EXPECT_TRUE(
+        kernels::BlockEvaluator(table, ConstrainedSum(r, a, b, 0.2, 0.7))
+            .fused());
+  }
 }
 
 TEST(ExprRoundTripTest, LegacyFunctionsRoundTripThroughExprFunction) {
@@ -359,33 +347,33 @@ TEST(ExprRoundTripTest, LegacyFunctionsRoundTripThroughExprFunction) {
   auto funcs = AllShapeFunctions(&rng);
   ASSERT_EQ(funcs.size(), std::size(expected_shapes));
   for (size_t fi = 0; fi < funcs.size(); ++fi) {
-    const RankingFunction& legacy = *funcs[fi];
-    ExprFunction roundtrip(kRankDims, legacy.Expr());
+    const ExprFunction& builtin = *funcs[fi];
+    ExprFunction roundtrip(kRankDims, builtin.Expr());
+    EXPECT_EQ(builtin.plan().shape, expected_shapes[fi])
+        << builtin.ToString();
     EXPECT_EQ(roundtrip.plan().shape, expected_shapes[fi])
-        << legacy.ToString();
-    EXPECT_EQ(roundtrip.involved_dims(), legacy.involved_dims())
-        << legacy.ToString();
-    EXPECT_EQ(roundtrip.convex(), legacy.convex()) << legacy.ToString();
-    // The tree may derive *more* metadata than the legacy class (e.g. a
-    // squared-linear with all-positive weights is structurally monotone);
-    // whatever the legacy class claims, the round-trip must agree with.
-    if (auto legacy_mono = legacy.MonotoneDirections()) {
-      EXPECT_EQ(roundtrip.MonotoneDirections(), legacy_mono)
-          << legacy.ToString();
-    }
+        << builtin.ToString();
 
-    // Tree evaluation, scalar evaluation, and both batch paths all agree.
-    std::vector<double> expect = ScalarOracle(legacy, table, tids);
+    // The same tree scores and bounds the same whoever built it.
+    std::vector<double> expect = ScalarOracle(builtin, table, tids);
     std::vector<double> got(tids.size());
-    roundtrip.EvaluateBatch(table, tids.data(), tids.size(), got.data());
+    kernels::BlockEvaluator(table, roundtrip)
+        .Score(tids.data(), tids.size(), got.data());
     for (size_t i = 0; i < tids.size(); ++i) {
       ASSERT_EQ(expect[i], got[i])
-          << legacy.ToString() << " round-trip diverges at tid " << tids[i];
+          << builtin.ToString() << " round-trip diverges at tid " << tids[i];
     }
-    // Interval lower bounds stay valid bounds under the tree.
-    Box unit = Box::Unit(kRankDims);
-    const double lb = roundtrip.LowerBound(unit);
-    for (double s : expect) ASSERT_GE(s, lb) << legacy.ToString();
+    Box box = Box::Unit(kRankDims);
+    for (int trial = 0; trial < 20; ++trial) {
+      EXPECT_EQ(roundtrip.LowerBound(box), builtin.LowerBound(box))
+          << builtin.ToString() << " " << box.ToString();
+      for (int d = 0; d < kRankDims; ++d) {
+        double a = rng.Uniform01(), b = rng.Uniform01();
+        box[d] = {std::min(a, b), std::max(a, b)};
+      }
+    }
+    const double lb = roundtrip.LowerBound(Box::Unit(kRankDims));
+    for (double s : expect) ASSERT_GE(s, lb) << builtin.ToString();
   }
 }
 

@@ -341,15 +341,34 @@ TEST(PartitionPruningTest, ScoreBoundEarlyTerminationSkipsColdPartitions) {
 
   QueryOptions oracle_opts;
   oracle_opts.force_engine = "table_scan";
-  auto truth = oracle.Query(q, oracle_opts);
-  ASSERT_TRUE(truth.ok());
-  std::vector<ScoredTuple> got;
-  for (const PartitionedTuple& t : r.value().tuples) {
-    auto it = to_global.find({t.partition, t.tid});
-    ASSERT_NE(it, to_global.end());
-    got.push_back({it->second, t.score});
-  }
-  EXPECT_EQ(got, truth.value().tuples);
+  auto expect_oracle = [&](const TopKQuery& query,
+                           const PartitionedTopK& top) {
+    auto truth = oracle.Query(query, oracle_opts);
+    ASSERT_TRUE(truth.ok());
+    std::vector<ScoredTuple> got;
+    for (const PartitionedTuple& t : top.tuples) {
+      auto it = to_global.find({t.partition, t.tid});
+      ASSERT_NE(it, to_global.end());
+      got.push_back({it->second, t.score});
+    }
+    EXPECT_EQ(got, truth.value().tuples);
+  };
+  expect_oracle(q, r.value());
+
+  // A gate only band 2 passes (N1 in [0.5, 0.7]): every other partition's
+  // bound is +inf, so the gather stops after band 2 even though its 50
+  // rows leave the top-100 short.
+  TopKQuery gated =
+      QueryBuilder()
+          .OrderBy(std::make_shared<ConstrainedSum>(2, 0, 1, 0.5, 0.7))
+          .Limit(100)
+          .Build();
+  auto g = pdb->Query(gated);
+  ASSERT_TRUE(g.ok()) << g.status().ToString();
+  EXPECT_EQ(g.value().scatter.queried, 1u);
+  EXPECT_EQ(g.value().scatter.pruned_by_bound, 3u);
+  EXPECT_EQ(g.value().tuples.size(), 50u);
+  expect_oracle(gated, g.value());
 }
 
 // ---------------------------------------------------------------------------
@@ -562,6 +581,60 @@ TEST(PartitionRecoveryTest, KillPointSweepOverMultiPartitionDataDir) {
 
 // ---------------------------------------------------------------------------
 // (d) Durability counters and the wire protocol.
+
+TEST(PartitionStatsTest, CompactSkipsPartitionsWithNothingToAbsorb) {
+  FaultFs fs;
+  TableSchema schema;
+  schema.sel_cardinality = {4, 4};
+  schema.num_rank_dims = 2;
+  PartitionedDb::Options popts;
+  popts.schema = schema;
+  popts.partition_dim = 0;
+  popts.data_dir = "/db";
+  popts.fs = &fs;
+  popts.db.engines = {"table_scan"};
+  auto pdb = PartitionedDb::Open(std::move(popts)).value();
+  ASSERT_TRUE(pdb->CreatePartition("a", {0, 2}).ok());
+  ASSERT_TRUE(pdb->CreatePartition("b", {2, 4}).ok());
+  Rng rng(5);
+  auto insert = [&](int32_t key) {
+    ASSERT_TRUE(pdb->Insert({key, static_cast<int32_t>(rng.UniformInt(4))},
+                            {rng.Uniform01(), rng.Uniform01()})
+                    .ok());
+  };
+  for (int i = 0; i < 4; ++i) {
+    insert(1);
+    insert(3);
+  }
+  ASSERT_TRUE(pdb->Compact().ok());
+  auto generation = [&](const std::string& name) {
+    return pdb->PartitionStats(name).value().checkpoint_generation;
+  };
+  const uint64_t b_generation = generation("b");
+
+  // Only "a" has rows to absorb: only "a" checkpoints.
+  insert(0);
+  const uint64_t a_generation = generation("a");
+  auto one = pdb->Compact();
+  ASSERT_TRUE(one.ok()) << one.status().ToString();
+  EXPECT_EQ(one.value().absorbed_inserts, 1u);
+  EXPECT_EQ(generation("a"), a_generation + 1);
+  EXPECT_EQ(generation("b"), b_generation);
+
+  // Nothing anywhere: no write, no fsync.
+  fs.SetPlan(FaultPlan{});
+  auto none = pdb->Compact();
+  ASSERT_TRUE(none.ok()) << none.status().ToString();
+  EXPECT_EQ(fs.ops(), 0);
+  EXPECT_EQ(none.value().absorbed_inserts + none.value().absorbed_deletes,
+            0u);
+
+  // Scatter answers still see every row.
+  auto all = pdb->Query(
+      QueryBuilder().OrderByLinear({1.0, 1.0}).Limit(20).Build());
+  ASSERT_TRUE(all.ok()) << all.status().ToString();
+  EXPECT_EQ(all.value().tuples.size(), 9u);
+}
 
 TEST(PartitionStatsTest, DurabilityCountersTrackWalAndCheckpoints) {
   FaultFs fs;

@@ -672,6 +672,51 @@ TEST(DurabilityTest, CompactCheckpointsAndRecoveryReplaysNothing) {
   EXPECT_FALSE(db.value()->table().is_live(2));
 }
 
+TEST(DurabilityTest, CompactWithNothingToAbsorbWritesNothing) {
+  FaultFs fs;
+  const std::vector<Mutation> script = MakeScript(6, 40);
+  uint64_t generation = 0;
+  {
+    auto db = RankCubeDb::Open(MakeSeedTable(40),
+                               DurableOptions(&fs, FsyncPolicy::kAlways));
+    ASSERT_TRUE(db.ok());
+    // A built structure too, so "fresh" is checked, not vacuous.
+    QueryOptions force;
+    force.force_engine = "grid";
+    ASSERT_TRUE(db.value()->Query(QueryPanel()[0], force).ok());
+    for (const Mutation& m : script) {
+      ASSERT_TRUE(m.is_insert ? db.value()->Insert(m.sel, m.rank).ok()
+                              : db.value()->Delete(m.tid).ok());
+    }
+    auto first = db.value()->Compact();
+    ASSERT_TRUE(first.ok()) << first.status().ToString();
+    EXPECT_EQ(first.value().maintained, 1u);
+    generation = db.value()->Stats().checkpoint_generation;
+
+    fs.SetPlan(FaultPlan{});  // resets the op counter
+    auto second = db.value()->Compact();
+    ASSERT_TRUE(second.ok()) << second.status().ToString();
+    EXPECT_EQ(fs.ops(), 0);  // no write, no fsync, no rename
+    EXPECT_EQ(second.value().epoch, first.value().epoch);
+    EXPECT_EQ(second.value().absorbed_inserts, 0u);
+    EXPECT_EQ(second.value().absorbed_deletes, 0u);
+    EXPECT_EQ(second.value().maintained + second.value().rebuilt, 0u);
+    EXPECT_EQ(second.value().pages, 0u);
+    EXPECT_EQ(db.value()->Stats().checkpoint_generation, generation);
+  }
+  auto db = RankCubeDb::Open(MakeSeedTable(40),
+                             DurableOptions(&fs, FsyncPolicy::kAlways));
+  ASSERT_TRUE(db.ok());
+  EXPECT_EQ(db.value()->recovery().replayed, 0u);
+  EXPECT_EQ(db.value()->Stats().checkpoint_generation, generation);
+  Table oracle = OracleTable(script, script.size());
+  ASSERT_EQ(db.value()->table().num_rows(), oracle.num_rows());
+  for (Tid t = 0; t < static_cast<Tid>(oracle.num_rows()); ++t) {
+    EXPECT_EQ(db.value()->table().is_live(t), oracle.is_live(t)) << t;
+    EXPECT_EQ(db.value()->table().rank(t, 0), oracle.rank(t, 0)) << t;
+  }
+}
+
 TEST(DurabilityTest, CrashDuringCheckpointRecoversFromOldOrNewState) {
   // Sweep kill points through Checkpoint(): at every op the manifest must
   // resolve to EITHER the old checkpoint + full WAL or the new checkpoint —
