@@ -16,9 +16,10 @@
 // uncached database's answer for the same schedule position. Any mismatch
 // fails the run regardless of --smoke.
 //
-// Like bench_parallel this needs no google-benchmark, always builds, and
-// emits BENCH_cache.json. --smoke shrinks the schedule and enforces the
-// acceptance floor: >= 3x closed-loop qps at repeat rate 0.9.
+// Like the other BENCH_*.json harnesses this needs no google-benchmark,
+// always builds, and emits BENCH_cache.json. --smoke shrinks the schedule
+// and enforces the acceptance floor: >= 3x closed-loop qps at repeat rate
+// 0.9.
 //
 // Usage:
 //   bench_cache [--rows=N] [--queries=N] [--repeat=R] [--near_dup=R]

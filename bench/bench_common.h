@@ -19,7 +19,6 @@
 #include <string>
 
 #include "core/topk_query.h"
-#include "engine/batch_executor.h"
 #include "engine/engine.h"
 #include "gen/covtype.h"
 #include "gen/queries.h"
@@ -101,24 +100,25 @@ inline WorkloadResult RunWorkload(
   return AverageOver(total, io->TotalPhysical() - before, queries.size());
 }
 
-/// Engine path: the whole workload goes through BatchExecutor / the unified
-/// Execute interface. Aborts on the first error — a benchmark measuring a
+/// Engine path: every query goes through the unified Execute interface,
+/// charging `io`. Aborts on the first error — a benchmark measuring a
 /// failing engine would publish garbage.
 inline WorkloadResult RunWorkload(const std::vector<TopKQuery>& queries,
                                   IoSession* io, const RankingEngine& engine) {
   ExecContext ctx;
   ctx.io = io;
-  BatchExecutor executor(&engine, {.stop_on_error = true});
-  auto report = executor.Run(queries, ctx);
-  if (!report.ok() || report.value().failed > 0) {
-    const Status& s =
-        report.ok() ? report.value().first_error : report.status();
-    std::fprintf(stderr, "workload failed on engine '%s': %s\n",
-                 engine.name().c_str(), s.ToString().c_str());
-    std::abort();
+  ExecStats total;
+  uint64_t before = io->TotalPhysical();
+  for (const TopKQuery& q : queries) {
+    Result<TopKResult> r = engine.Execute(q, ctx);
+    if (!r.ok()) {
+      std::fprintf(stderr, "workload failed on engine '%s': %s\n",
+                   engine.name().c_str(), r.status().ToString().c_str());
+      std::abort();
+    }
+    total += r.value().stats;
   }
-  return AverageOver(report.value().total, report.value().physical_pages,
-                     report.value().num_queries);
+  return AverageOver(total, io->TotalPhysical() - before, queries.size());
 }
 
 /// Publishes a WorkloadResult on a benchmark's counters.

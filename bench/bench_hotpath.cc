@@ -22,8 +22,8 @@
 //   bench_hotpath [--rows=N] [--reps=N] [--seed=N] [--json=PATH] [--smoke]
 //
 // The default --rows matches the repository's laptop-scale bench convention
-// (bench_parallel uses the same 20k-row synthetic relation): columns stay
-// cache-resident, so the figures isolate scoring *compute* throughput.
+// (a 20k-row synthetic relation): columns stay cache-resident, so the
+// figures isolate scoring *compute* throughput.
 // Larger --rows shifts the scrambled paths toward memory-bound random
 // column gathers and compresses the gaps; the dense fused loop reads
 // columns sequentially and keeps vectorizing in either regime.

@@ -24,8 +24,9 @@
 // rank_mapping (runs on an oracle-provided k-th score, §3.5.1) are not
 // static-choice candidates; both remain force_engine-able.
 //
-// Like bench_parallel this needs no google-benchmark, always builds, and
-// emits BENCH_planner.json. --smoke shrinks the workload for CI.
+// Like the other BENCH_*.json harnesses this needs no google-benchmark,
+// always builds, and emits BENCH_planner.json. --smoke shrinks the
+// workload for CI.
 //
 // Usage:
 //   bench_planner [--rows=N] [--per_class=N] [--seed=N] [--json=PATH]

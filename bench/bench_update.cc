@@ -21,9 +21,9 @@
 // stale), then once more after Compact(). Stale queries pay the exact
 // delta overlay (tail scan + deeper inner search); compaction removes it.
 //
-// Like bench_parallel this needs no google-benchmark, always builds, and
-// emits BENCH_update.json. --smoke shrinks the dataset for CI and exits
-// non-zero if the 5x maintenance gate fails.
+// Like the other BENCH_*.json harnesses this needs no google-benchmark,
+// always builds, and emits BENCH_update.json. --smoke shrinks the dataset
+// for CI and exits non-zero if the 5x maintenance gate fails.
 //
 // Usage:
 //   bench_update [--rows=N] [--seed=N] [--json=PATH] [--smoke]
@@ -166,19 +166,16 @@ double AvgPages(RankCubeDb* db, const std::vector<TopKQuery>& workload,
                 const std::string& engine) {
   QueryOptions opts;
   opts.force_engine = engine;
-  auto report = db->QueryAll(workload, opts);
-  if (!report.ok()) {
-    std::fprintf(stderr, "workload failed on '%s': %s\n", engine.c_str(),
-                 report.status().ToString().c_str());
-    std::exit(1);
+  const uint64_t before = db->Stats().pages_charged;
+  for (const TopKQuery& q : workload) {
+    auto r = db->Query(q, opts);
+    if (!r.ok()) {
+      std::fprintf(stderr, "query failed on '%s': %s\n", engine.c_str(),
+                   r.status().ToString().c_str());
+      std::exit(1);
+    }
   }
-  if (report.value().failed > 0) {
-    std::fprintf(stderr, "%zu queries failed on '%s': %s\n",
-                 report.value().failed, engine.c_str(),
-                 report.value().first_error.ToString().c_str());
-    std::exit(1);
-  }
-  return static_cast<double>(report.value().physical_pages) /
+  return static_cast<double>(db->Stats().pages_charged - before) /
          static_cast<double>(workload.size());
 }
 

@@ -33,7 +33,8 @@ struct ExecStats {
   /// Accumulates another query's counters. Every field adds, including
   /// peak_heap: across a workload the sum divided by the query count is the
   /// average peak (the series the benchmarks report); within one query use
-  /// MergeMax. BatchExecutor and the bench harness aggregate through this.
+  /// MergeMax. The partition merge and the bench harness aggregate
+  /// through this.
   ExecStats& operator+=(const ExecStats& o) {
     time_ms += o.time_ms;
     pages_read += o.pages_read;

@@ -39,10 +39,6 @@ Result<TopKResult> RankingEngine::ExecuteWithOverlay(const TopKQuery& query,
   const DeltaStore& delta = table_->delta();
   std::vector<Tid> inserted, deleted;
   delta.ChangesSince(BuiltEpoch(), &inserted, &deleted);
-  ctx.Trace(name_ + ": stale (built_epoch=" + std::to_string(BuiltEpoch()) +
-            ", table_epoch=" + std::to_string(delta.epoch()) + "), overlay " +
-            std::to_string(inserted.size()) + " inserts / " +
-            std::to_string(deleted.size()) + " deletes");
 
   // The structure answers over its own epoch's content. Of its top-(k + D)
   // at most D tuples can be tombstoned, so the surviving top-k is exactly
@@ -101,7 +97,6 @@ Result<TopKResult> RankingEngine::Execute(const TopKQuery& query,
     return Status::DeadlineExceeded("engine '" + name_ +
                                     "' not started: deadline already passed");
   }
-  ctx.Trace(name_ + ": " + query.ToString());
 
   uint64_t before = ctx.io->TotalPhysical();
   Result<TopKResult> result = BuiltEpoch() >= table_->epoch()
@@ -112,7 +107,6 @@ Result<TopKResult> RankingEngine::Execute(const TopKQuery& query,
   if (!result.ok()) {
     // The engine's own failure outranks a budget overrun: an admission
     // layer must not retry-with-larger-budget a query that cannot succeed.
-    ctx.Trace(name_ + ": error: " + result.status().ToString());
     return result;
   }
   if (ctx.deadline_passed()) {
@@ -128,8 +122,6 @@ Result<TopKResult> RankingEngine::Execute(const TopKQuery& query,
                               " pages, budget was " +
                               std::to_string(ctx.page_budget));
   }
-  ctx.Trace(name_ + ": " + std::to_string(result.value().tuples.size()) +
-            " tuples, " + std::to_string(physical) + " pages");
   return result;
 }
 

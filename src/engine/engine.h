@@ -5,14 +5,12 @@
 // same multi-dimensionally selected top-k query. This layer makes that
 // interchangeability literal: every engine is a RankingEngine answering
 //   Result<TopKResult> Execute(const TopKQuery&, ExecContext&)
-// and nothing else. Engines are obtained from EngineRegistry (registry.h),
-// queries are assembled with QueryBuilder (query_builder.h), and workloads
-// run through BatchExecutor (batch_executor.h).
+// and nothing else. Engines are obtained from EngineRegistry (registry.h)
+// and queries are assembled with QueryBuilder (query_builder.h).
 #ifndef RANKCUBE_ENGINE_ENGINE_H_
 #define RANKCUBE_ENGINE_ENGINE_H_
 
 #include <chrono>
-#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -26,8 +24,8 @@
 namespace rankcube {
 
 /// Per-query execution environment: the I/O session every page access is
-/// charged to (one session per query or worker thread — never shared
-/// across threads), an optional I/O budget, and an optional trace hook.
+/// charged to (one session per query — never shared across threads), an
+/// optional I/O budget and an optional deadline.
 struct ExecContext {
   IoSession* io = nullptr;
 
@@ -50,13 +48,6 @@ struct ExecContext {
   bool deadline_passed() const {
     return has_deadline() && std::chrono::steady_clock::now() >= deadline;
   }
-
-  /// Trace hook; receives one line per execution phase when set.
-  std::function<void(const std::string&)> trace;
-
-  void Trace(const std::string& line) const {
-    if (trace) trace(line);
-  }
 };
 
 /// What an engine returns: the ranked tuples plus the execution counters the
@@ -65,8 +56,7 @@ struct TopKResult {
   std::vector<ScoredTuple> tuples;
   ExecStats stats;
   /// The planner's decision when this execution was planner-routed
-  /// (RankCubeDb / router-mode BatchExecutor); null for direct
-  /// RankingEngine::Execute calls.
+  /// (RankCubeDb); null for direct RankingEngine::Execute calls.
   std::shared_ptr<const PlanInfo> plan;
 };
 
@@ -89,12 +79,12 @@ struct FreshnessInfo {
 ///     the structure answers top-(k + pending deletes) over its own epoch,
 ///     tombstoned tuples are filtered, and the appended rows are scanned
 ///     exactly (batch-scored, heap tail pages charged) and merged in,
-///  4. physical page reads are metered against ctx.page_budget,
-///  5. begin/end trace lines are emitted when ctx.trace is set.
+///  4. physical page reads are metered against ctx.page_budget and the
+///     wall clock against ctx.deadline.
 ///
 /// Maintenance is explicit and never concurrent with queries: Maintain()
-/// mutates the underlying structures, so callers (RankCubeDb::Compact,
-/// BatchExecutor between batches) must hold exclusive access.
+/// mutates the underlying structures, so callers (RankCubeDb::Compact)
+/// must hold exclusive access.
 class RankingEngine {
  public:
   /// Captures the table's current epoch as the default built_epoch — every

@@ -62,8 +62,6 @@ class EngineRegistry {
   /// Registered keys, sorted — the supported way to enumerate candidate
   /// engines (callers should never probe Create() for NotFound).
   std::vector<std::string> Keys() const;
-  /// Alias of Keys(), kept for existing call sites.
-  std::vector<std::string> Names() const { return Keys(); }
 
   /// Builds the engine `name` over `table`. `io` is the construction
   /// session: factories read page geometry from it and charge build-time

@@ -3,27 +3,13 @@
 #include <cstdlib>
 #include <cstring>
 
-#include "common/crc32.h"
+#include "storage/manifest.h"
 
 namespace rankcube {
 
 namespace {
 
 constexpr char kHeaderLine[] = "rankcube-partitions v1\n";
-
-/// Returns the value of "key=..." at line `pos` (advancing past it), or
-/// false on any mismatch (pos is still advanced past the line only on
-/// success).
-bool TakeLine(const std::string& text, size_t* pos, const std::string& key,
-              std::string* value) {
-  size_t eol = text.find('\n', *pos);
-  if (eol == std::string::npos) return false;
-  std::string line = text.substr(*pos, eol - *pos);
-  if (line.compare(0, key.size() + 1, key + "=") != 0) return false;
-  *pos = eol + 1;
-  *value = line.substr(key.size() + 1);
-  return true;
-}
 
 bool ParseI32(const std::string& s, int32_t* out) {
   if (s.empty()) return false;
@@ -58,8 +44,8 @@ Status StorePartitionManifest(Fs* fs, const std::string& dir,
     body += "partition=" + e.name + " " + std::to_string(e.range.lo) + " " +
             std::to_string(e.range.hi) + "\n";
   }
-  std::string text = body + "crc=" + std::to_string(StoredCrc32c(body)) + "\n";
-  return WriteFileAtomic(fs, dir, PartitionManifestFileName(), text);
+  return WriteFileAtomic(fs, dir, PartitionManifestFileName(),
+                         SealManifestText(body));
 }
 
 Result<PartitionManifest> LoadPartitionManifest(Fs* fs,
@@ -85,11 +71,13 @@ Result<PartitionManifest> LoadPartitionManifest(Fs* fs,
   size_t pos = std::strlen(kHeaderLine);
   PartitionManifest m;
   std::string value;
-  if (!TakeLine(data, &pos, "dim", &value)) return corrupt("missing dim line");
+  if (!TakeManifestLine(data, &pos, "dim", &value)) {
+    return corrupt("missing dim line");
+  }
   int32_t dim = 0;
   if (!ParseI32(value, &dim) || dim < 0) return corrupt("bad dim value");
   m.partition_dim = dim;
-  while (TakeLine(data, &pos, "partition", &value)) {
+  while (TakeManifestLine(data, &pos, "partition", &value)) {
     // "name lo hi"
     size_t s1 = value.find(' ');
     size_t s2 = s1 == std::string::npos ? s1 : value.find(' ', s1 + 1);
@@ -109,14 +97,7 @@ Result<PartitionManifest> LoadPartitionManifest(Fs* fs,
     }
     m.partitions.push_back(std::move(e));
   }
-  const std::string body = data.substr(0, pos);
-  if (!TakeLine(data, &pos, "crc", &value)) return corrupt("missing crc line");
-  char* end = nullptr;
-  uint32_t crc = static_cast<uint32_t>(std::strtoul(value.c_str(), &end, 10));
-  if (*end != '\0' || StoredCrc32c(body) != crc) {
-    return corrupt("checksum mismatch");
-  }
-  if (pos != data.size()) return corrupt("trailing bytes");
+  if (const char* bad = CheckManifestSeal(data, pos)) return corrupt(bad);
   return m;
 }
 

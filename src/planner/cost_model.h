@@ -51,7 +51,7 @@ struct CostModelOptions {
   double merge_frontier_factor = 3.0;
   /// kLatency objective: device cost per physical page (us) and CPU cost
   /// per exact tuple evaluation (us). The page cost matches the repo's
-  /// 0.1 ms/page disk-weighted convention (bench_common, bench_parallel).
+  /// 0.1 ms/page disk-weighted convention (bench_common).
   double page_cost_us = 100.0;
   double tuple_cost_us = 0.05;
 };

@@ -13,7 +13,6 @@
 #ifndef RANKCUBE_PLANNER_PLANNER_H_
 #define RANKCUBE_PLANNER_PLANNER_H_
 
-#include <functional>
 #include <string>
 
 #include "cache/feedback.h"
@@ -44,9 +43,6 @@ struct QueryOptions {
   /// Status::DeadlineExceeded, so admission layers can tell "too slow"
   /// from "too expensive".
   uint64_t deadline_ms = 0;
-
-  /// Trace hook; receives planner decisions and engine phase lines.
-  std::function<void(const std::string&)> trace;
 };
 
 struct PlannerOptions {

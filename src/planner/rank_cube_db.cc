@@ -271,24 +271,16 @@ Result<CompactionReport> RankCubeDb::Compact() {
   return report;
 }
 
-Result<RoutedEngine> RankCubeDb::Route(const TopKQuery& query,
-                                       const QueryOptions& opts) {
+Result<RankCubeDb::RoutedEngine> RankCubeDb::Route(const TopKQuery& query,
+                                                   const QueryOptions& opts) {
   RC_RETURN_IF_ERROR(ValidateQuery(query, table_.schema()));
-  RoutedEngine routed;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto plan = planner_.Plan(query, stats_, catalog_, opts, &feedback_);
-    if (!plan.ok()) return plan.status();
-    auto engine = EngineLocked(plan.value().chosen_engine);
-    if (!engine.ok()) return engine.status();
-    routed.engine = engine.value();
-    routed.plan = std::make_shared<const PlanInfo>(std::move(plan).value());
-  }
-  // Outside the lock: a hook that calls back into the db must not
-  // self-deadlock, and parallel workers must not serialize planning
-  // behind user hook latency.
-  if (opts.trace) opts.trace(routed.plan->ToString());
-  return routed;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto plan = planner_.Plan(query, stats_, catalog_, opts, &feedback_);
+  if (!plan.ok()) return plan.status();
+  auto engine = EngineLocked(plan.value().chosen_engine);
+  if (!engine.ok()) return engine.status();
+  return RoutedEngine{engine.value(), std::make_shared<const PlanInfo>(
+                                          std::move(plan).value())};
 }
 
 std::optional<TopKResult> RankCubeDb::TryReuseLocked(
@@ -467,7 +459,6 @@ Result<TopKResult> RankCubeDb::Query(const TopKQuery& query,
     ctx.deadline = std::chrono::steady_clock::now() +
                    std::chrono::milliseconds(opts.deadline_ms);
   }
-  ctx.trace = opts.trace;
   Result<TopKResult> result = ExecuteQueryLocked(query, opts, ctx);
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -486,38 +477,6 @@ Result<PlanInfo> RankCubeDb::Explain(const TopKQuery& query,
   std::shared_lock<std::shared_mutex> read(ddl_mu_);
   std::lock_guard<std::mutex> lock(mu_);
   return planner_.Plan(query, stats_, catalog_, opts, &feedback_);
-}
-
-Result<BatchReport> RankCubeDb::QueryAll(
-    const std::vector<TopKQuery>& workload, const QueryOptions& opts,
-    BatchOptions batch) {
-  return QueryParallel(workload, 1, opts, batch);
-}
-
-Result<BatchReport> RankCubeDb::QueryParallel(
-    const std::vector<TopKQuery>& workload, int num_threads,
-    const QueryOptions& opts, BatchOptions batch) {
-  // Held shared for the whole batch: workers read the table concurrently,
-  // writers wait for the batch to drain.
-  std::shared_lock<std::shared_mutex> read(ddl_mu_);
-  if (batch.page_budget == 0) batch.page_budget = opts.page_budget;
-  if (batch.deadline_ms == 0) batch.deadline_ms = opts.deadline_ms;
-  BatchExecutor executor(
-      QueryExecutor([this, opts](const TopKQuery& query, ExecContext& ctx) {
-        return ExecuteQueryLocked(query, opts, ctx);
-      }),
-      batch);
-  auto report = executor.ExecuteParallel(workload, store_, num_threads);
-  if (report.ok()) {
-    const BatchReport& r = report.value();
-    std::lock_guard<std::mutex> lock(mu_);
-    traffic_.queries_executed += r.executed;
-    traffic_.query_failures += r.failed;
-    for (const IoStats& s : r.io) traffic_.pages_logical += s.logical;
-    traffic_.pages_charged += r.physical_pages;
-    traffic_.pages_device += r.device_pages;
-  }
-  return report;
 }
 
 std::vector<AccessStructureInfo> RankCubeDb::CatalogEntries() const {

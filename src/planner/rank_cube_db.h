@@ -27,10 +27,10 @@
 // (incrementally where the structure supports it, by rebuild otherwise)
 // and refreshes the statistics.
 //
-// Concurrency: reads (Query/QueryAll/QueryParallel/Explain/Engine) share
-// the db; writes (Insert/Delete/Compact) take it exclusively — the
-// standard single-writer/many-readers contract, enforced internally with a
-// shared mutex, so mixed workloads need no external locking.
+// Concurrency: reads (Query/Explain/Engine) share the db; writes
+// (Insert/Delete/Compact) take it exclusively — the standard
+// single-writer/many-readers contract, enforced internally with a shared
+// mutex, so mixed workloads need no external locking.
 //
 // force_engine in QueryOptions pins a specific structure (every engine
 // remains individually reachable, e.g. for the parity tests and figure
@@ -50,7 +50,7 @@
 #include "cache/feedback.h"
 #include "cache/query_key.h"
 #include "cache/result_cache.h"
-#include "engine/batch_executor.h"
+#include "engine/engine.h"
 #include "engine/registry.h"
 #include "planner/planner.h"
 #include "storage/durability.h"
@@ -212,20 +212,6 @@ class RankCubeDb {
   Result<PlanInfo> Explain(const TopKQuery& query,
                            const QueryOptions& opts = QueryOptions()) const;
 
-  /// Sequential workload execution, one fresh session per query; each
-  /// query is planned individually (a mixed workload may split across
-  /// engines). Per-query failures are tallied in the report.
-  Result<BatchReport> QueryAll(const std::vector<TopKQuery>& workload,
-                               const QueryOptions& opts = QueryOptions(),
-                               BatchOptions batch = BatchOptions());
-
-  /// Parallel workload execution on `num_threads` workers; same routing,
-  /// deterministic workload-order report (BatchExecutor::ExecuteParallel).
-  Result<BatchReport> QueryParallel(const std::vector<TopKQuery>& workload,
-                                    int num_threads,
-                                    const QueryOptions& opts = QueryOptions(),
-                                    BatchOptions batch = BatchOptions());
-
   /// The engine under `name`, built on first use (thread-safe; build I/O
   /// is charged to the db's construction session). The pointer stays valid
   /// until the db dies or Compact() rebuilds that engine.
@@ -239,8 +225,6 @@ class RankCubeDb {
   /// enumerate the candidates Explain() costs, without probing the
   /// NotFound path.
   std::vector<std::string> Keys() const;
-  /// Alias of Keys(), kept for existing call sites.
-  std::vector<std::string> EngineNames() const { return Keys(); }
 
   /// Per-structure freshness snapshot for every *built* engine.
   std::map<std::string, FreshnessInfo> FreshnessByEngine() const;
@@ -286,15 +270,21 @@ class RankCubeDb {
   uint64_t construction_pages() const;
 
  private:
-  /// Plans `query` and returns the built engine + plan (the router body).
+  /// Route's answer for one query: the built engine that should run it and
+  /// the plan record to attach to its result.
+  struct RoutedEngine {
+    const RankingEngine* engine = nullptr;
+    std::shared_ptr<const PlanInfo> plan;
+  };
+
+  /// Plans `query` and returns the built engine + plan.
   Result<RoutedEngine> Route(const TopKQuery& query,
                              const QueryOptions& opts);
 
   /// The full read pipeline for one query — cache lookup, certified
   /// sibling reuse, planner-routed execution with overfetch, cache insert,
   /// feedback observation — inside `ctx`. Caller must hold ddl_mu_ shared
-  /// and own ctx.io (fresh per query). Query() and QueryParallel's workers
-  /// both funnel through here, so cached and parallel paths cannot drift.
+  /// and own ctx.io (fresh per query).
   Result<TopKResult> ExecuteQueryLocked(const TopKQuery& query,
                                         const QueryOptions& opts,
                                         ExecContext& ctx);
@@ -335,8 +325,7 @@ class RankCubeDb {
   bool read_only_ = false;
 
   /// Read/write gate: queries and Explain hold it shared for their whole
-  /// duration (QueryParallel's workers run under the caller's shared
-  /// hold), Insert/Delete/Compact hold it exclusively — appending to the
+  /// duration, Insert/Delete/Compact hold it exclusively — appending to the
   /// column vectors or maintaining a structure must never race a reader's
   /// rank_col() view. Acquired before mu_ everywhere.
   mutable std::shared_mutex ddl_mu_;
@@ -351,7 +340,7 @@ class RankCubeDb {
   IoSession build_io_;
 
   /// Cumulative query-traffic counters behind Stats(); guarded by mu_
-  /// (bumped once per query / once per batch, never on the page path).
+  /// (bumped once per query, never on the page path).
   struct TrafficCounters {
     uint64_t queries_executed = 0;
     uint64_t query_failures = 0;

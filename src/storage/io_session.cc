@@ -49,12 +49,6 @@ void IoSession::SimulateWait(uint64_t pages) const {
       static_cast<uint64_t>(store_->read_latency_us()) * pages));
 }
 
-void IoSession::MergeFrom(const IoSession& other) {
-  for (int c = 0; c < static_cast<int>(IoCategory::kNumCategories); ++c) {
-    stats_[c] += other.stats_[c];
-  }
-}
-
 std::string IoSession::StatsString() const {
   std::ostringstream os;
   for (int c = 0; c < static_cast<int>(IoCategory::kNumCategories); ++c) {

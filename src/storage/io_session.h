@@ -1,14 +1,13 @@
 // Per-query half of the simulated block device (see page_store.h for the
 // split). An IoSession charges page accesses against a shared PageStore and
 // keeps the per-category logical/physical counters for exactly one query —
-// or one construction pass, or one worker thread of a parallel batch.
+// or one construction pass.
 //
 // Contract: a session is owned by a single thread and never shared. All
-// counters are plain (unsynchronized) fields; cross-thread visibility is the
-// owner's job (BatchExecutor joins its workers before merging sessions).
-// Because counters are session-local, "pages this phase read" is a simple
-// snapshot difference on the owning thread — there is no racy delta against
-// a globally shared pager.
+// counters are plain (unsynchronized) fields. Because counters are
+// session-local, "pages this phase read" is a simple snapshot difference on
+// the owning thread — there is no racy delta against a globally shared
+// pager.
 //
 // Attribution: the session runs a *private* accounting cache with exactly
 // the shared cache's geometry (key, shard mapping, per-shard LRU capacity),
@@ -17,7 +16,7 @@
 // own access string — never on which concurrent query happened to warm the
 // shared cache first. That makes page_budget verdicts and per-query page
 // reports deterministic across thread counts and schedules (the property
-// BatchExecutor::ExecuteParallel and multi-tenant admission rely on). The
+// concurrent readers and multi-tenant admission rely on). The
 // shared cache still decides `device` (true simulated device reads) and the
 // simulated read-latency waits, so wall-clock latency keeps the benefit of
 // cross-query warmth.
@@ -77,9 +76,6 @@ class IoSession {
   uint64_t TotalDevice() const;
 
   void ResetStats() { stats_.fill(IoStats{}); }
-
-  /// Accumulates another session's counters (e.g. a finished worker's).
-  void MergeFrom(const IoSession& other);
 
   /// One line per non-zero category; for harness output.
   std::string StatsString() const;

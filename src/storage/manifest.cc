@@ -2,6 +2,7 @@
 
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "common/crc32.h"
@@ -26,20 +27,33 @@ bool HasAffixes(const std::string& name, const char* prefix,
          name.compare(name.size() - ns, ns, suffix) == 0;
 }
 
-/// Returns the value of "key=..." at line `pos` (advancing past it), or
-/// nullopt on any mismatch.
-bool TakeLine(const std::string& text, size_t* pos, const std::string& key,
-              std::string* value) {
+}  // namespace
+
+std::string SealManifestText(const std::string& body) {
+  return body + "crc=" + std::to_string(StoredCrc32c(body)) + "\n";
+}
+
+bool TakeManifestLine(const std::string& text, size_t* pos,
+                      const std::string& key, std::string* value) {
   size_t eol = text.find('\n', *pos);
   if (eol == std::string::npos) return false;
   std::string line = text.substr(*pos, eol - *pos);
-  *pos = eol + 1;
   if (line.compare(0, key.size() + 1, key + "=") != 0) return false;
+  *pos = eol + 1;
   *value = line.substr(key.size() + 1);
   return true;
 }
 
-}  // namespace
+const char* CheckManifestSeal(const std::string& text, size_t pos) {
+  const std::string body = text.substr(0, pos);
+  std::string value;
+  if (!TakeManifestLine(text, &pos, "crc", &value)) return "missing crc line";
+  char* end = nullptr;
+  uint32_t crc = static_cast<uint32_t>(std::strtoul(value.c_str(), &end, 10));
+  if (*end != '\0' || StoredCrc32c(body) != crc) return "checksum mismatch";
+  if (pos != text.size()) return "trailing bytes";
+  return nullptr;
+}
 
 std::string CheckpointFileName(uint64_t epoch) {
   return EpochName("ckpt-", epoch, ".tab");
@@ -64,8 +78,7 @@ Status StoreManifest(Fs* fs, const std::string& dir,
   body += "epoch=" + std::to_string(manifest.epoch) + "\n";
   body += "wal=" + manifest.wal_file + "\n";
   body += "generation=" + std::to_string(manifest.generation) + "\n";
-  std::string text = body + "crc=" + std::to_string(StoredCrc32c(body)) + "\n";
-  return WriteFileAtomic(fs, dir, ManifestFileName(), text);
+  return WriteFileAtomic(fs, dir, ManifestFileName(), SealManifestText(body));
 }
 
 Result<Manifest> LoadManifest(Fs* fs, const std::string& dir) {
@@ -87,10 +100,10 @@ Result<Manifest> LoadManifest(Fs* fs, const std::string& dir) {
   size_t pos = std::strlen(kHeaderLine);
   Manifest m;
   std::string value;
-  if (!TakeLine(data, &pos, "checkpoint", &m.checkpoint_file)) {
+  if (!TakeManifestLine(data, &pos, "checkpoint", &m.checkpoint_file)) {
     return corrupt("missing checkpoint line");
   }
-  if (!TakeLine(data, &pos, "epoch", &value)) {
+  if (!TakeManifestLine(data, &pos, "epoch", &value)) {
     return corrupt("missing epoch line");
   }
   char* end = nullptr;
@@ -98,29 +111,18 @@ Result<Manifest> LoadManifest(Fs* fs, const std::string& dir) {
   if (end == nullptr || *end != '\0' || value.empty()) {
     return corrupt("bad epoch value");
   }
-  if (!TakeLine(data, &pos, "wal", &m.wal_file)) {
+  if (!TakeManifestLine(data, &pos, "wal", &m.wal_file)) {
     return corrupt("missing wal line");
   }
   // Optional (absent from pre-generation manifests, which still verify:
   // the crc covers whatever lines are present).
-  size_t before_generation = pos;
-  if (TakeLine(data, &pos, "generation", &value)) {
+  if (TakeManifestLine(data, &pos, "generation", &value)) {
     m.generation = std::strtoull(value.c_str(), &end, 10);
     if (end == nullptr || *end != '\0' || value.empty()) {
       return corrupt("bad generation value");
     }
-  } else {
-    pos = before_generation;
   }
-  const std::string body = data.substr(0, pos);
-  if (!TakeLine(data, &pos, "crc", &value)) {
-    return corrupt("missing crc line");
-  }
-  uint32_t crc = static_cast<uint32_t>(std::strtoul(value.c_str(), &end, 10));
-  if (*end != '\0' || StoredCrc32c(body) != crc) {
-    return corrupt("checksum mismatch");
-  }
-  if (pos != data.size()) return corrupt("trailing bytes");
+  if (const char* bad = CheckManifestSeal(data, pos)) return corrupt(bad);
   return m;
 }
 

@@ -52,6 +52,23 @@ Status StoreManifest(Fs* fs, const std::string& dir, const Manifest& manifest);
 /// state, this is a hard stop.
 Result<Manifest> LoadManifest(Fs* fs, const std::string& dir);
 
+// The text framing this manifest and the partition manifest share: a
+// header line, "key=value" lines, then a last line "crc=<decimal
+// StoredCrc32c of every byte before it>".
+
+/// Returns `body` (header and key=value lines) followed by its crc line.
+std::string SealManifestText(const std::string& body);
+
+/// Reads the "key=value" line at `*pos`. On a match stores the value,
+/// moves `*pos` past the line and returns true; otherwise returns false
+/// and leaves `*pos` where it was, so an optional line can be probed.
+bool TakeManifestLine(const std::string& text, size_t* pos,
+                      const std::string& key, std::string* value);
+
+/// Checks that `text` from `pos` on is exactly the crc line over the bytes
+/// before `pos`. Returns nullptr when it is, else what is wrong.
+const char* CheckManifestSeal(const std::string& text, size_t pos);
+
 }  // namespace rankcube
 
 #endif  // RANKCUBE_STORAGE_MANIFEST_H_

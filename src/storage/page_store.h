@@ -72,13 +72,6 @@ struct IoStats {
   uint64_t hits() const { return logical - physical; }
   /// Shared-buffer-cache hits, including pages another session warmed.
   uint64_t device_hits() const { return logical - device; }
-
-  IoStats& operator+=(const IoStats& o) {
-    logical += o.logical;
-    physical += o.physical;
-    device += o.device;
-    return *this;
-  }
 };
 
 /// Immutable page geometry + thread-safe sharded LRU buffer cache. Shared
@@ -93,8 +86,8 @@ class PageStore {
     /// Simulated device latency per physical page read, in microseconds
     /// (0 = none). Sessions sleep this long per missed page, which makes
     /// the simulated device behave like the I/O-bound system the thesis
-    /// measures (bench_common's 0.1 ms/page convention) and lets parallel
-    /// batch execution overlap device waits across worker threads.
+    /// measures (bench_common's 0.1 ms/page convention) and lets
+    /// concurrent queries overlap device waits.
     uint32_t read_latency_us = 0;
   };
 

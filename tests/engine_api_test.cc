@@ -1,13 +1,12 @@
 // Unit tests for the unified engine layer: registry lookup, QueryBuilder,
 // shared validation (identical Status across engines for malformed queries),
-// page budgets, trace hooks, ExecStats accumulation, and BatchExecutor.
+// page budgets and ExecStats accumulation.
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "engine/batch_executor.h"
 #include "engine/builtin_engines.h"
 #include "engine/query_builder.h"
 #include "engine/registry.h"
@@ -33,7 +32,7 @@ TEST(EngineRegistryTest, BuiltinsAreRegistered) {
         "boolean_first", "ranking_first", "rank_mapping", "index_merge"}) {
     EXPECT_TRUE(registry.Contains(name)) << name;
   }
-  EXPECT_GE(registry.Names().size(), 9u);
+  EXPECT_GE(registry.Keys().size(), 9u);
 }
 
 TEST(EngineRegistryTest, UnknownEngineIsNotFound) {
@@ -46,7 +45,7 @@ TEST(EngineRegistryTest, UnknownEngineIsNotFound) {
   // The error names every registered key: lookups are composed
   // programmatically (planner catalogs, CLI flags), and "what exists" is
   // the answer such callers need.
-  for (const std::string& name : EngineRegistry::Global().Names()) {
+  for (const std::string& name : EngineRegistry::Global().Keys()) {
     EXPECT_NE(r.status().message().find(name), std::string::npos)
         << r.status().message();
   }
@@ -172,7 +171,7 @@ TEST(EngineExecuteTest, MalformedQueryFailsIdenticallyOnEveryEngine) {
   auto malformed =
       QueryBuilder().Where(0, 999).OrderByLinear({1, 1}).Limit(5).Build();
 
-  for (const std::string& name : EngineRegistry::Global().Names()) {
+  for (const std::string& name : EngineRegistry::Global().Keys()) {
     SCOPED_TRACE(name);
     auto engine = EngineRegistry::Global().Create(name, table, io);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -237,24 +236,6 @@ TEST(EngineExecuteTest, PageBudgetIsEnforced) {
   EXPECT_TRUE((*engine)->Execute(q, roomy).ok());
 }
 
-TEST(EngineExecuteTest, TraceHookFires) {
-  Table table = SmallTable();
-  PageStore store;
-  IoSession io{&store};
-  auto engine = EngineRegistry::Global().Create("table_scan", table, io);
-  ASSERT_TRUE(engine.ok());
-
-  std::vector<std::string> lines;
-  ExecContext ctx;
-  ctx.io = &io;
-  ctx.trace = [&lines](const std::string& line) { lines.push_back(line); };
-  auto q = QueryBuilder().OrderByLinear({1, 1}).Limit(5).Build();
-  ASSERT_TRUE((*engine)->Execute(q, ctx).ok());
-  ASSERT_EQ(lines.size(), 2u);  // begin + end
-  EXPECT_NE(lines[0].find("table_scan"), std::string::npos);
-  EXPECT_NE(lines[1].find("pages"), std::string::npos);
-}
-
 TEST(ExecStatsTest, PlusEqualsAccumulatesEveryCounter) {
   ExecStats a;
   a.time_ms = 1.5;
@@ -276,57 +257,6 @@ TEST(ExecStatsTest, PlusEqualsAccumulatesEveryCounter) {
   EXPECT_EQ(b.peak_heap, 8u);
   EXPECT_EQ(b.signature_pages, 4u);
   EXPECT_DOUBLE_EQ(b.signature_ms, 0.5);
-}
-
-TEST(BatchExecutorTest, AggregatesStatsAndCountsFailures) {
-  Table table = SmallTable();
-  PageStore store;
-  IoSession io{&store};
-  auto engine = EngineRegistry::Global().Create("boolean_first", table, io);
-  ASSERT_TRUE(engine.ok());
-
-  std::vector<TopKQuery> workload;
-  workload.push_back(QueryBuilder()
-                         .Where(0, table.sel(5, 0))
-                         .OrderByLinear({1, 1})
-                         .Limit(5)
-                         .Build());
-  workload.push_back(QueryBuilder()
-                         .Where(1, table.sel(9, 1))
-                         .OrderByLinear({1, 2})
-                         .Limit(3)
-                         .Build());
-  // One malformed query: counted as failed, not fatal.
-  workload.push_back(
-      QueryBuilder().Where(0, 999).OrderByLinear({1, 1}).Limit(5).Build());
-
-  ExecContext ctx;
-  ctx.io = &io;
-  BatchExecutor batch(engine->get());
-  auto report = batch.Run(workload, ctx);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-
-  EXPECT_EQ(report.value().num_queries, 3u);
-  EXPECT_EQ(report.value().executed, 3u);
-  EXPECT_EQ(report.value().failed, 1u);
-  EXPECT_EQ(report.value().succeeded(), 2u);
-  EXPECT_EQ(report.value().first_error.code(),
-            Status::Code::kInvalidArgument);
-  EXPECT_GT(report.value().total.tuples_evaluated, 0u);
-  EXPECT_GT(report.value().AvgMs(), 0.0);
-  EXPECT_TRUE(report.value().results.empty());  // keep_results defaults off
-
-  ExecContext stop_ctx;
-  stop_ctx.io = &io;
-  BatchExecutor strict(engine->get(), {.stop_on_error = true});
-  std::vector<TopKQuery> bad_first{workload[2], workload[0]};
-  auto strict_report = strict.Run(bad_first, stop_ctx);
-  ASSERT_TRUE(strict_report.ok());
-  EXPECT_EQ(strict_report.value().num_queries, 2u);
-  EXPECT_EQ(strict_report.value().executed, 1u);  // stop cut the batch short
-  EXPECT_EQ(strict_report.value().failed, 1u);
-  EXPECT_EQ(strict_report.value().succeeded(), 0u);
-  EXPECT_EQ(strict_report.value().total.tuples_evaluated, 0u);
 }
 
 }  // namespace

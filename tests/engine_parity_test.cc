@@ -12,7 +12,6 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "engine/batch_executor.h"
 #include "engine/registry.h"
 #include "gen/queries.h"
 #include "gen/synthetic.h"
@@ -79,7 +78,7 @@ TEST(EngineParityTest, EveryRegisteredEngineMatchesTableScanOracle) {
   auto oracle_engine = registry.Create("table_scan", fx.table, fx.io);
   ASSERT_TRUE(oracle_engine.ok()) << oracle_engine.status().ToString();
 
-  for (const std::string& name : registry.Names()) {
+  for (const std::string& name : registry.Keys()) {
     SCOPED_TRACE("engine: " + name);
     auto engine = registry.Create(name, fx.table, fx.io);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -111,7 +110,7 @@ TEST(EngineParityTest, GatedQueriesFewerThanKPassMatchBruteForce) {
   Fixture fx;
   auto& registry = EngineRegistry::Global();
   size_t short_answers = 0;
-  for (const std::string& name : registry.Names()) {
+  for (const std::string& name : registry.Keys()) {
     SCOPED_TRACE("engine: " + name);
     auto engine = registry.Create(name, fx.table, fx.io);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -127,7 +126,7 @@ TEST(EngineParityTest, GatedQueriesFewerThanKPassMatchBruteForce) {
       short_answers += want.size() < static_cast<size_t>(query.k);
     }
   }
-  EXPECT_GT(short_answers, registry.Names().size());
+  EXPECT_GT(short_answers, registry.Keys().size());
 }
 
 TEST(EngineParityTest, FusedKernelsOnAndOffAreTupleIdentical) {
@@ -137,7 +136,7 @@ TEST(EngineParityTest, FusedKernelsOnAndOffAreTupleIdentical) {
   // tuple-identical, not merely score-close.
   Fixture fx;
   auto& registry = EngineRegistry::Global();
-  for (const std::string& name : registry.Names()) {
+  for (const std::string& name : registry.Keys()) {
     SCOPED_TRACE("engine: " + name);
     auto engine = registry.Create(name, fx.table, fx.io);
     ASSERT_TRUE(engine.ok()) << engine.status().ToString();
@@ -154,29 +153,6 @@ TEST(EngineParityTest, FusedKernelsOnAndOffAreTupleIdentical) {
       ASSERT_TRUE(generic.ok()) << generic.status().ToString();
       EXPECT_EQ(fused.value().tuples, generic.value().tuples);
     }
-  }
-}
-
-TEST(EngineParityTest, BatchExecutorReportsSameTuplesAsSingleQueries) {
-  Fixture fx;
-  auto& registry = EngineRegistry::Global();
-  auto engine = registry.Create("grid", fx.table, fx.io);
-  ASSERT_TRUE(engine.ok()) << engine.status().ToString();
-
-  auto workload = fx.Workload(2);
-  ExecContext ctx;
-  ctx.io = &fx.io;
-
-  BatchExecutor batch(engine->get(), {.keep_results = true});
-  auto report = batch.Run(workload, ctx);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report.value().failed, 0u);
-  ASSERT_EQ(report.value().results.size(), workload.size());
-
-  for (size_t i = 0; i < workload.size(); ++i) {
-    auto single = (*engine)->Execute(workload[i], ctx);
-    ASSERT_TRUE(single.ok());
-    EXPECT_EQ(report.value().results[i].tuples, single.value().tuples);
   }
 }
 

@@ -176,7 +176,7 @@ TEST(PartitionParityTest, EveryEngineEveryPartitionCountMatchesOracle) {
   for (int nparts : {1, 3, 16}) {
     SCOPED_TRACE("partitions: " + std::to_string(nparts));
     Pair pair = MakePair(nparts, 2400);
-    for (const std::string& engine : pair.oracle->EngineNames()) {
+    for (const std::string& engine : pair.oracle->Keys()) {
       SCOPED_TRACE("engine: " + engine);
       // index_merge takes no predicates; everything else also gets the
       // predicate queries (incl. one on the partition dim itself).

@@ -8,8 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "engine/query_builder.h"
@@ -47,7 +49,7 @@ std::vector<TopKQuery> Workload(const Table& table, int num_predicates,
 // routing, never changes answers.
 TEST(RankCubeDbTest, PlannerRoutedExecutionMatchesEveryForcedEngine) {
   RankCubeDb db(SmallTable());
-  for (const std::string& name : db.EngineNames()) {
+  for (const std::string& name : db.Keys()) {
     SCOPED_TRACE("engine: " + name);
     // index_merge takes no predicates; everything else gets 2.
     bool preds = name != "index_merge";
@@ -308,35 +310,38 @@ TEST(PlannerStatusTest, MalformedQueryFailsBeforePlanning) {
   EXPECT_EQ(result.status().code(), Status::Code::kInvalidArgument);
 }
 
-// Batch paths: QueryAll and QueryParallel route per query through the
-// planner and return tuples identical to one-at-a-time execution.
-TEST(RankCubeDbTest, BatchAndParallelMatchSingleQueryExecution) {
+// Concurrent Query calls on a fresh db: each query is planned on its own,
+// and the lazy builds of the chosen structures race under the db's lock.
+// Every answer equals the same query's single-query answer.
+TEST(RankCubeDbTest, ConcurrentQueriesMatchSingleQueryExecution) {
   RankCubeDb db(SmallTable());
-  // Mixed workload: predicated and unpredicated queries in one batch (they
-  // may legitimately route to different engines).
+  // Mixed workload: predicated and unpredicated queries (they may
+  // legitimately route to different engines).
   std::vector<TopKQuery> workload = Workload(db.table(), 2, 4);
   for (TopKQuery& q : Workload(db.table(), 0, 4)) {
     workload.push_back(std::move(q));
   }
 
-  BatchOptions batch;
-  batch.keep_results = true;
-  auto all = db.QueryAll(workload, QueryOptions(), batch);
-  ASSERT_TRUE(all.ok()) << all.status().ToString();
-  ASSERT_EQ(all.value().failed, 0u) << all.value().first_error.ToString();
-  ASSERT_EQ(all.value().results.size(), workload.size());
-
-  auto parallel = db.QueryParallel(workload, 4, QueryOptions(), batch);
-  ASSERT_TRUE(parallel.ok()) << parallel.status().ToString();
-  ASSERT_EQ(parallel.value().failed, 0u);
-  ASSERT_EQ(parallel.value().results.size(), workload.size());
+  std::vector<Result<TopKResult>> concurrent(workload.size(),
+                                             Status::Internal("not run"));
+  std::atomic<size_t> cursor{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (size_t i = cursor++; i < workload.size(); i = cursor++) {
+        concurrent[i] = db.Query(workload[i]);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
 
   for (size_t i = 0; i < workload.size(); ++i) {
+    SCOPED_TRACE(workload[i].ToString());
+    ASSERT_TRUE(concurrent[i].ok()) << concurrent[i].status().ToString();
+    ASSERT_NE(concurrent[i].value().plan, nullptr);
     auto single = db.Query(workload[i]);
     ASSERT_TRUE(single.ok()) << single.status().ToString();
-    EXPECT_EQ(all.value().results[i].tuples, single.value().tuples);
-    EXPECT_EQ(parallel.value().results[i].tuples, single.value().tuples);
-    ASSERT_NE(all.value().results[i].plan, nullptr);
+    EXPECT_EQ(concurrent[i].value().tuples, single.value().tuples);
   }
 }
 

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -19,6 +20,7 @@
 #include "common/crc32.h"
 #include "common/rng.h"
 #include "engine/query_builder.h"
+#include "partition/partition_manifest.h"
 #include "planner/rank_cube_db.h"
 #include "server/client.h"
 #include "server/server.h"
@@ -318,6 +320,80 @@ TEST(ManifestTest, MissingIsNotFoundCorruptIsCorruption) {
   ASSERT_TRUE(fs.CorruptByte(JoinPath("/d", ManifestFileName()), 30).ok());
   EXPECT_EQ(LoadManifest(&fs, "/d").status().code(),
             Status::Code::kCorruption);
+}
+
+// The storage and partition manifests share one framing: their bytes on
+// disk are pinned, and every flipped byte, every truncation and any
+// trailing byte loads as kCorruption.
+TEST(ManifestTest, FramingIsPinnedAndEveryDamageIsCorruption) {
+  FaultFs fs;
+  ASSERT_TRUE(fs.CreateDir("/d").ok());
+  Manifest m;
+  m.checkpoint_file = CheckpointFileName(7);
+  m.epoch = 7;
+  m.wal_file = WalFileName(7);
+  m.generation = 3;
+  ASSERT_TRUE(StoreManifest(&fs, "/d", m).ok());
+  PartitionManifest pm;
+  pm.partition_dim = 1;
+  pm.partitions = {{"hot", {0, 4}}, {"warm", {4, 12}}};
+  ASSERT_TRUE(StorePartitionManifest(&fs, "/d", pm).ok());
+
+  struct File {
+    const char* name;
+    std::string pinned;
+    std::function<Status()> load;
+  };
+  const File files[] = {
+      {ManifestFileName(),
+       "rankcube-manifest v1\ncheckpoint=ckpt-00000000000000000007.tab\n"
+       "epoch=7\nwal=wal-00000000000000000007.log\ngeneration=3\n"
+       "crc=327960521\n",
+       [&] { return LoadManifest(&fs, "/d").status(); }},
+      {PartitionManifestFileName(),
+       "rankcube-partitions v1\ndim=1\npartition=hot 0 4\n"
+       "partition=warm 4 12\ncrc=1013595130\n",
+       [&] { return LoadPartitionManifest(&fs, "/d").status(); }},
+  };
+  for (const File& file : files) {
+    SCOPED_TRACE(file.name);
+    auto text = fs.ReadFileToString(JoinPath("/d", file.name));
+    ASSERT_TRUE(text.ok());
+    ASSERT_EQ(text.value(), file.pinned);
+    ASSERT_TRUE(file.load().ok());
+    auto expect_corrupt = [&](const std::string& damaged) {
+      ASSERT_TRUE(WriteFileAtomic(&fs, "/d", file.name, damaged).ok());
+      EXPECT_EQ(file.load().code(), Status::Code::kCorruption) << damaged;
+    };
+    for (size_t i = 0; i < file.pinned.size(); ++i) {
+      std::string flipped = file.pinned;
+      flipped[i] = static_cast<char>(flipped[i] ^ 0x5A);
+      expect_corrupt(flipped);
+    }
+    for (size_t n = 0; n < file.pinned.size(); ++n) {
+      expect_corrupt(file.pinned.substr(0, n));
+    }
+    expect_corrupt(file.pinned + "x");
+  }
+}
+
+// A manifest written before the generation line existed still loads: the
+// optional line is probed without consuming the crc line after it.
+TEST(ManifestTest, ManifestWithoutGenerationLoads) {
+  FaultFs fs;
+  ASSERT_TRUE(fs.CreateDir("/d").ok());
+  const std::string body =
+      "rankcube-manifest v1\ncheckpoint=ckpt-00000000000000000005.tab\n"
+      "epoch=5\nwal=wal-00000000000000000005.log\n";
+  ASSERT_TRUE(WriteFileAtomic(&fs, "/d", ManifestFileName(),
+                              body + "crc=" +
+                                  std::to_string(StoredCrc32c(body)) + "\n")
+                  .ok());
+  auto loaded = LoadManifest(&fs, "/d");
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().epoch, 5u);
+  EXPECT_EQ(loaded.value().wal_file, WalFileName(5));
+  EXPECT_EQ(loaded.value().generation, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -121,19 +121,6 @@ TEST(IoSessionTest, SessionsShareTheStoreCacheForDeviceReadsOnly) {
   EXPECT_EQ(b.stats(IoCategory::kBTree).device, 1u);
 }
 
-TEST(IoSessionTest, MergeFromAccumulates) {
-  PageStore store;
-  IoSession a{&store};
-  IoSession b{&store};
-  a.Access(IoCategory::kTable, 0, 3);
-  b.Access(IoCategory::kTable, 1);
-  b.Access(IoCategory::kRTree, 2);
-  a.MergeFrom(b);
-  EXPECT_EQ(a.stats(IoCategory::kTable).physical, 4u);
-  EXPECT_EQ(a.stats(IoCategory::kRTree).physical, 1u);
-  EXPECT_EQ(a.TotalPhysical(), 5u);
-}
-
 TEST(PageStoreTest, ConcurrentSessionsCountExactly) {
   // Many threads hammer one shared store, each through its own session;
   // session counters must be exact (logical is untouched by cache races)

@@ -1,7 +1,8 @@
 // Mutable-cube acceptance suite: after ANY interleaving of inserts and
-// deletes — before and after Compact(), queried sequentially and through
-// QueryParallel — every engine must return results tuple-identical to the
-// same engine rebuilt from scratch on the equivalent static table.
+// deletes — before and after Compact(), queried sequentially and from
+// concurrent reader threads — every engine must return results
+// tuple-identical to the same engine rebuilt from scratch on the
+// equivalent static table.
 //
 // Three mechanisms are under test, and the parity predicate covers all of
 // them at once:
@@ -14,6 +15,7 @@
 // old-tid -> static-tid map (monotone, hence score-tie order preserving).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <memory>
 #include <string>
@@ -34,6 +36,28 @@ const std::vector<std::string>& AllEngines() {
       "signature_lossy", "table_scan",  "boolean_first",
       "ranking_first", "rank_mapping",  "index_merge"};
   return kEngines;
+}
+
+constexpr int kReaders = 4;
+
+/// Answers `workload` through db.Query on kReaders threads that claim
+/// queries from a shared cursor; answers come back in workload order.
+std::vector<Result<TopKResult>> QueryOnReaders(
+    RankCubeDb& db, const std::vector<TopKQuery>& workload,
+    const QueryOptions& opts = QueryOptions()) {
+  std::vector<Result<TopKResult>> out(workload.size(),
+                                      Status::Internal("not run"));
+  std::atomic<size_t> cursor{0};
+  std::vector<std::thread> readers;
+  for (int t = 0; t < kReaders; ++t) {
+    readers.emplace_back([&] {
+      for (size_t i = cursor++; i < workload.size(); i = cursor++) {
+        out[i] = db.Query(workload[i], opts);
+      }
+    });
+  }
+  for (std::thread& t : readers) t.join();
+  return out;
 }
 
 /// Logical content of the mutable db, maintained alongside every write.
@@ -265,7 +289,7 @@ TEST(UpdateTest, InterleavedWritesPreAndPostCompactMatchScratchRebuild) {
   fx.ExpectParityWithScratchRebuild("after second compaction");
 }
 
-TEST(UpdateTest, QueryParallelStaysExactUnderWrites) {
+TEST(UpdateTest, ConcurrentReadersStayExactOverStaleStructures) {
   Fixture fx;
   fx.BuildAllEngines();
   for (int i = 0; i < 50; ++i) ASSERT_TRUE(fx.Insert().ok());
@@ -275,23 +299,18 @@ TEST(UpdateTest, QueryParallelStaysExactUnderWrites) {
   std::vector<TopKQuery> workload;
   std::vector<std::vector<ScoredTuple>> want;
   for (const TopKQuery& q : fx.Workload()) {
-    // Repeat each query so several workers race on the same structures.
+    // Repeat each query so several readers race on the same structures.
     for (int copy = 0; copy < 4; ++copy) {
       workload.push_back(q);
       want.push_back(BruteForceTopK(static_table, q));
     }
   }
 
-  // Planner-routed parallel execution over stale structures...
-  BatchOptions batch;
-  batch.keep_results = true;
-  auto report = fx.db.QueryParallel(workload, /*num_threads=*/4,
-                                    QueryOptions(), batch);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  ASSERT_EQ(report.value().failed, 0u);
-  ASSERT_EQ(report.value().results.size(), workload.size());
+  // Planner-routed concurrent execution over stale structures...
+  auto routed = QueryOnReaders(fx.db, workload);
   for (size_t i = 0; i < workload.size(); ++i) {
-    EXPECT_EQ(fx.Mapped(report.value().results[i].tuples), want[i])
+    ASSERT_TRUE(routed[i].ok()) << routed[i].status().ToString();
+    EXPECT_EQ(fx.Mapped(routed[i].value().tuples), want[i])
         << workload[i].ToString();
   }
 
@@ -301,11 +320,10 @@ TEST(UpdateTest, QueryParallelStaysExactUnderWrites) {
                                   std::string("boolean_first")}) {
     QueryOptions force;
     force.force_engine = name;
-    auto forced = fx.db.QueryParallel(workload, 4, force, batch);
-    ASSERT_TRUE(forced.ok()) << forced.status().ToString();
-    ASSERT_EQ(forced.value().failed, 0u);
+    auto forced = QueryOnReaders(fx.db, workload, force);
     for (size_t i = 0; i < workload.size(); ++i) {
-      EXPECT_EQ(fx.Mapped(forced.value().results[i].tuples), want[i])
+      ASSERT_TRUE(forced[i].ok()) << forced[i].status().ToString();
+      EXPECT_EQ(fx.Mapped(forced[i].value().tuples), want[i])
           << name << ": " << workload[i].ToString();
     }
   }
@@ -366,10 +384,9 @@ TEST(UpdateTest, QueryEntirelyInsideDelta) {
   }
 }
 
-TEST(UpdateTest, MaintainIsIdempotentAndBatchExecutorTriggersIt) {
+TEST(UpdateTest, MaintainIsIdempotent) {
   // Direct engine maintenance, without the db facade: a grid engine over a
-  // mutable table, brought up to date by BatchExecutor's between-batches
-  // maintenance point.
+  // mutable table, brought up to date by Maintain.
   Mirror mirror;
   Table table = Fixture::MakeTable(&mirror, 1500);
   PageStore store;
@@ -395,35 +412,35 @@ TEST(UpdateTest, MaintainIsIdempotentAndBatchExecutorTriggersIt) {
       QueryBuilder().OrderByLinear({1.0, 1.0}).Limit(10).Build();
   std::vector<ScoredTuple> want = BruteForceTopK(table, query);
 
-  BatchOptions options;
-  options.keep_results = true;
-  options.auto_maintain = true;
-  BatchExecutor executor(engine, options);
-  auto report = executor.ExecuteAll({query}, store);
-  ASSERT_TRUE(report.ok()) << report.status().ToString();
-  EXPECT_GT(report.value().maintenance_pages, 0u);
+  IoSession maintain_io{&store};
+  ASSERT_TRUE(engine->Maintain(&maintain_io).ok());
+  EXPECT_GT(maintain_io.TotalPhysical(), 0u);
   EXPECT_TRUE(engine->Freshness().fresh());
-  ASSERT_EQ(report.value().results.size(), 1u);
-  EXPECT_EQ(report.value().results[0].tuples, want);
+  ExecContext ctx;
+  ctx.io = &io;
+  auto got = engine->Execute(query, ctx);
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  EXPECT_EQ(got.value().tuples, want);
 
   // Empty delta: a second maintenance pass is a free no-op.
-  auto again = executor.ExecuteAll({query}, store);
-  ASSERT_TRUE(again.ok());
-  EXPECT_EQ(again.value().maintenance_pages, 0u);
-  EXPECT_EQ(again.value().results[0].tuples, want);
+  IoSession again_io{&store};
+  ASSERT_TRUE(engine->Maintain(&again_io).ok());
+  EXPECT_EQ(again_io.TotalPhysical(), 0u);
+  auto again = engine->Execute(query, ctx);
+  ASSERT_TRUE(again.ok()) << again.status().ToString();
+  EXPECT_EQ(again.value().tuples, want);
 }
 
 TEST(UpdateTest, ConcurrentWritersAndParallelReadersAreSerialized) {
-  // A writer thread streams inserts/deletes/compactions while the main
-  // thread runs parallel batches. Results are only checkable weakly (each
-  // batch sees *some* consistent epoch), but the run must be TSan-clean:
+  // A writer thread streams inserts/deletes/compactions while reader
+  // threads run queries beside it. Results are only checkable weakly (each
+  // query sees *some* consistent epoch), but the run must be TSan-clean:
   // the db's reader/writer gate is what keeps a column append from racing
-  // a worker's rank_col() view.
+  // a reader's rank_col() view.
   Fixture fx(1000);
   fx.BuildAllEngines();
   TopKQuery query =
       QueryBuilder().Where(0, 1).OrderByLinear({1.0, 1.0}).Limit(5).Build();
-  std::vector<TopKQuery> workload(8, query);
 
   std::thread writer([&] {
     Rng rng(123);
@@ -438,20 +455,15 @@ TEST(UpdateTest, ConcurrentWritersAndParallelReadersAreSerialized) {
       if (round % 10 == 9) ASSERT_TRUE(fx.db.Compact().ok());
     }
   });
-  for (int round = 0; round < 20; ++round) {
-    BatchOptions batch;
-    batch.keep_results = true;
-    auto report = fx.db.QueryParallel(workload, 4, QueryOptions(), batch);
-    ASSERT_TRUE(report.ok()) << report.status().ToString();
-    ASSERT_EQ(report.value().failed, 0u);
-    for (const TopKResult& r : report.value().results) {
-      ASSERT_EQ(r.tuples.size(), 5u);
-      for (size_t i = 1; i < r.tuples.size(); ++i) {
-        EXPECT_LE(r.tuples[i - 1].score, r.tuples[i].score);
-      }
+  auto answers = QueryOnReaders(fx.db, std::vector<TopKQuery>(160, query));
+  writer.join();
+  for (const Result<TopKResult>& r : answers) {
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    ASSERT_EQ(r.value().tuples.size(), 5u);
+    for (size_t i = 1; i < r.value().tuples.size(); ++i) {
+      EXPECT_LE(r.value().tuples[i - 1].score, r.value().tuples[i].score);
     }
   }
-  writer.join();
 }
 
 TEST(UpdateTest, PlannerPricesStalenessAndCompactionRestoresRouting) {
