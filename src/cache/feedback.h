@@ -2,13 +2,13 @@
 // factors learned from measured query I/O.
 //
 // The analytic cost model (planner/cost_model.h) is parameterized on table
-// geometry and selectivity, and BENCH_planner showed its estimates off by
-// ~1.4x geomean — fine for picking the cheapest of widely separated
-// candidates, too coarse for admission page-budgets and partition scatter
-// ordering. This class closes the loop: after every planner-routed (or
-// forced) execution, RankCubeDb feeds (estimated pages, measured pages)
-// back, and the planner multiplies later estimates of the same engine
-// family by the learned correction.
+// geometry and selectivity, and on planner_test's mixed workload its
+// estimates are off by ~1.4x geomean — fine for picking the cheapest of
+// widely separated candidates, too coarse for admission page-budgets and
+// partition scatter ordering. This class closes the loop: after every
+// planner-routed (or forced) execution, RankCubeDb feeds (estimated pages,
+// measured pages) back, and the planner multiplies later estimates of the
+// same engine family by the learned correction.
 //
 // The correction is an EWMA in log space:
 //
@@ -19,9 +19,9 @@
 // error to zero: at the fixed point, corrected estimates equal the measured
 // geometric mean of the recent workload. Log space makes the factor
 // symmetric (2x over and 2x under cancel) and matches the geomean metric
-// BENCH_planner reports. Factors are clamped to [min_factor, max_factor] so
-// one wild observation (a cold cache, a pathological query) cannot poison
-// routing.
+// planner_test's envelope case gates. Factors are clamped to [min_factor,
+// max_factor] so one wild observation (a cold cache, a pathological query)
+// cannot poison routing.
 //
 // Families, not engines: grid and fragments share one cuboid cost shape,
 // the two signature variants share another — pooling their observations

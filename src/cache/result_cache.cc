@@ -160,6 +160,23 @@ void ResultCache::Resize(size_t max_bytes) {
   }
 }
 
+std::string ResultCacheStats::ToString(const std::string& prefix) const {
+  std::string out;
+  for (const auto& [name, value] :
+       {std::pair<const char*, uint64_t>{"hits", hits},
+        {"reuse_hits", reuse_hits},
+        {"misses", misses},
+        {"insertions", insertions},
+        {"invalidations", invalidations},
+        {"evictions", evictions},
+        {"entries", entries},
+        {"bytes", bytes},
+        {"max_bytes", max_bytes}}) {
+    out += prefix + name + "=" + std::to_string(value) + "\n";
+  }
+  return out;
+}
+
 ResultCacheStats ResultCache::Stats() const {
   ResultCacheStats s;
   s.hits = hits_.load(std::memory_order_relaxed);

@@ -94,6 +94,10 @@ struct ResultCacheStats {
   uint64_t entries = 0;        ///< current
   uint64_t bytes = 0;          ///< current
   uint64_t max_bytes = 0;      ///< configured budget (0 = disabled)
+
+  /// "<prefix><counter>=<value>" lines, one per counter: the CACHE wire
+  /// payload, and with prefix "cache_" the result-cache block of STATS.
+  std::string ToString(const std::string& prefix = "") const;
 };
 
 class ResultCache {

@@ -23,21 +23,15 @@ void DescribeGridCuboids(const std::vector<GridCuboid>& cuboids,
 
 class GridCubeEngine final : public RankingEngine {
  public:
-  GridCubeEngine(const Table& table, std::shared_ptr<const GridRankingCube> c,
-                 GridRankingCube* mutable_cube = nullptr)
-      : RankingEngine("grid", &table),
-        cube_(std::move(c)),
-        mutable_cube_(mutable_cube) {}
+  GridCubeEngine(const Table& table, std::shared_ptr<GridRankingCube> c)
+      : RankingEngine("grid", &table), cube_(std::move(c)) {}
 
   size_t SizeBytes() const override { return cube_->SizeBytes(); }
 
   uint64_t BuiltEpoch() const override { return cube_->built_epoch(); }
-  bool SupportsMaintenance() const override {
-    return mutable_cube_ != nullptr;
-  }
+  bool SupportsMaintenance() const override { return true; }
   Status Maintain(IoSession* io) override {
-    if (mutable_cube_ == nullptr) return RankingEngine::Maintain(io);
-    return mutable_cube_->ApplyDelta(table().delta(), io);
+    return cube_->ApplyDelta(table().delta(), io);
   }
 
   AccessStructureInfo Describe() const override {
@@ -60,28 +54,20 @@ class GridCubeEngine final : public RankingEngine {
   }
 
  private:
-  std::shared_ptr<const GridRankingCube> cube_;
-  GridRankingCube* mutable_cube_;  ///< nullptr for read-only wrapping
+  std::shared_ptr<GridRankingCube> cube_;
 };
 
 class FragmentsEngine final : public RankingEngine {
  public:
-  FragmentsEngine(const Table& table,
-                  std::shared_ptr<const RankingFragments> f,
-                  RankingFragments* mutable_fragments = nullptr)
-      : RankingEngine("fragments", &table),
-        fragments_(std::move(f)),
-        mutable_fragments_(mutable_fragments) {}
+  FragmentsEngine(const Table& table, std::shared_ptr<RankingFragments> f)
+      : RankingEngine("fragments", &table), fragments_(std::move(f)) {}
 
   size_t SizeBytes() const override { return fragments_->SizeBytes(); }
 
   uint64_t BuiltEpoch() const override { return fragments_->built_epoch(); }
-  bool SupportsMaintenance() const override {
-    return mutable_fragments_ != nullptr;
-  }
+  bool SupportsMaintenance() const override { return true; }
   Status Maintain(IoSession* io) override {
-    if (mutable_fragments_ == nullptr) return RankingEngine::Maintain(io);
-    return mutable_fragments_->ApplyDelta(table().delta(), io);
+    return fragments_->ApplyDelta(table().delta(), io);
   }
 
   AccessStructureInfo Describe() const override {
@@ -106,18 +92,15 @@ class FragmentsEngine final : public RankingEngine {
   }
 
  private:
-  std::shared_ptr<const RankingFragments> fragments_;
-  RankingFragments* mutable_fragments_;  ///< nullptr for read-only wrapping
+  std::shared_ptr<RankingFragments> fragments_;
 };
 
 class SignatureCubeEngine final : public RankingEngine {
  public:
-  SignatureCubeEngine(const Table& table,
-                      std::shared_ptr<const SignatureCube> c, bool lossy,
-                      SignatureCube* mutable_cube = nullptr)
+  SignatureCubeEngine(const Table& table, std::shared_ptr<SignatureCube> c,
+                      bool lossy)
       : RankingEngine(lossy ? "signature_lossy" : "signature", &table),
         cube_(std::move(c)),
-        mutable_cube_(mutable_cube),
         lossy_(lossy) {}
 
   size_t SizeBytes() const override {
@@ -125,12 +108,9 @@ class SignatureCubeEngine final : public RankingEngine {
   }
 
   uint64_t BuiltEpoch() const override { return cube_->built_epoch(); }
-  bool SupportsMaintenance() const override {
-    return mutable_cube_ != nullptr;
-  }
+  bool SupportsMaintenance() const override { return true; }
   Status Maintain(IoSession* io) override {
-    if (mutable_cube_ == nullptr) return RankingEngine::Maintain(io);
-    return mutable_cube_->ApplyDelta(table().delta(), io);
+    return cube_->ApplyDelta(table().delta(), io);
   }
 
   AccessStructureInfo Describe() const override {
@@ -162,8 +142,7 @@ class SignatureCubeEngine final : public RankingEngine {
   }
 
  private:
-  std::shared_ptr<const SignatureCube> cube_;
-  SignatureCube* mutable_cube_;  ///< nullptr for read-only wrapping
+  std::shared_ptr<SignatureCube> cube_;
   bool lossy_;
 };
 
@@ -338,38 +317,18 @@ class IndexMergeEngine final : public RankingEngine {
 }  // namespace
 
 std::unique_ptr<RankingEngine> MakeGridCubeEngine(
-    const Table& table, std::shared_ptr<const GridRankingCube> cube) {
-  return std::make_unique<GridCubeEngine>(table, std::move(cube));
-}
-
-std::unique_ptr<RankingEngine> MakeGridCubeEngine(
     const Table& table, std::shared_ptr<GridRankingCube> cube) {
-  GridRankingCube* mut = cube.get();
-  return std::make_unique<GridCubeEngine>(table, std::move(cube), mut);
-}
-
-std::unique_ptr<RankingEngine> MakeFragmentsEngine(
-    const Table& table, std::shared_ptr<const RankingFragments> fragments) {
-  return std::make_unique<FragmentsEngine>(table, std::move(fragments));
+  return std::make_unique<GridCubeEngine>(table, std::move(cube));
 }
 
 std::unique_ptr<RankingEngine> MakeFragmentsEngine(
     const Table& table, std::shared_ptr<RankingFragments> fragments) {
-  RankingFragments* mut = fragments.get();
-  return std::make_unique<FragmentsEngine>(table, std::move(fragments), mut);
-}
-
-std::unique_ptr<RankingEngine> MakeSignatureCubeEngine(
-    const Table& table, std::shared_ptr<const SignatureCube> cube,
-    bool lossy) {
-  return std::make_unique<SignatureCubeEngine>(table, std::move(cube), lossy);
+  return std::make_unique<FragmentsEngine>(table, std::move(fragments));
 }
 
 std::unique_ptr<RankingEngine> MakeSignatureCubeEngine(
     const Table& table, std::shared_ptr<SignatureCube> cube, bool lossy) {
-  SignatureCube* mut = cube.get();
-  return std::make_unique<SignatureCubeEngine>(table, std::move(cube), lossy,
-                                               mut);
+  return std::make_unique<SignatureCubeEngine>(table, std::move(cube), lossy);
 }
 
 std::unique_ptr<RankingEngine> MakeTableScanEngine(const Table& table) {

@@ -1,7 +1,7 @@
 // RankingEngine adapters over the seven executor families in this
-// repository. Each adapter either wraps structures the caller already built
-// (shared_ptr; the bench harnesses cache cubes across figures) or is built
-// from scratch by the EngineRegistry factories (registry.cc).
+// repository. Each adapter wraps a structure built by its caller: the
+// EngineRegistry factories (registry.cc), or a figure bench or example
+// that builds the structure itself to read its size and compression.
 #ifndef RANKCUBE_ENGINE_BUILTIN_ENGINES_H_
 #define RANKCUBE_ENGINE_BUILTIN_ENGINES_H_
 
@@ -17,31 +17,24 @@
 
 namespace rankcube {
 
-// Engines constructed over a non-const structure own the write path too:
-// RankingEngine::Maintain incrementally absorbs table deltas (ApplyDelta /
-// R-tree insert+delete). The const overloads wrap shared read-only
-// structures (the bench harnesses cache cubes across figures); those
-// engines stay exact through the Execute delta overlay and report
-// SupportsMaintenance() == false.
+// The grid, fragments and signature engines own the write path of their
+// structure: RankingEngine::Maintain incrementally absorbs table deltas
+// (ApplyDelta). So does ranking_first over a non-const R-tree (R-tree
+// insert+delete); over a const one, such as the partition template of a
+// signature cube that owns it, it stays exact through the Execute delta
+// overlay and reports SupportsMaintenance() == false.
 
 /// Ch3 grid ranking cube ("grid").
-std::unique_ptr<RankingEngine> MakeGridCubeEngine(
-    const Table& table, std::shared_ptr<const GridRankingCube> cube);
 std::unique_ptr<RankingEngine> MakeGridCubeEngine(
     const Table& table, std::shared_ptr<GridRankingCube> cube);
 
 /// Ch3 ranking fragments ("fragments").
-std::unique_ptr<RankingEngine> MakeFragmentsEngine(
-    const Table& table, std::shared_ptr<const RankingFragments> fragments);
 std::unique_ptr<RankingEngine> MakeFragmentsEngine(
     const Table& table, std::shared_ptr<RankingFragments> fragments);
 
 /// Ch4 signature cube ("signature"); `lossy` = query through the §4.5
 /// bloom signatures ("signature_lossy"; the cube must have been built with
 /// lossy_bloom enabled).
-std::unique_ptr<RankingEngine> MakeSignatureCubeEngine(
-    const Table& table, std::shared_ptr<const SignatureCube> cube,
-    bool lossy = false);
 std::unique_ptr<RankingEngine> MakeSignatureCubeEngine(
     const Table& table, std::shared_ptr<SignatureCube> cube,
     bool lossy = false);

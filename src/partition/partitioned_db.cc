@@ -65,13 +65,7 @@ std::string PartitionedDbStats::ToString() const {
       "scatter.partitions_queried=" + std::to_string(partitions_queried) + "\n";
   out +=
       "scatter.partitions_pruned=" + std::to_string(partitions_pruned) + "\n";
-  out += "cache_hits=" + std::to_string(cache_hits) + "\n";
-  out += "cache_misses=" + std::to_string(cache_misses) + "\n";
-  out += "cache_entries=" + std::to_string(cache_entries) + "\n";
-  out += "cache_bytes=" + std::to_string(cache_bytes) + "\n";
-  out += "cache_max_bytes=" + std::to_string(cache_max_bytes) + "\n";
-  out += "cache_evictions=" + std::to_string(cache_evictions) + "\n";
-  out += "cache_invalidations=" + std::to_string(cache_invalidations) + "\n";
+  out += cache.ToString("cache_");
   for (const auto& [name, stats] : per_partition) {
     const std::string prefix = "partition." + name + ".";
     auto range = ranges.find(name);
@@ -138,7 +132,6 @@ Result<std::unique_ptr<PartitionedDb>> PartitionedDb::Open(Options options) {
     popts.durability = DurabilityOptions{};
     popts.durability.data_dir = JoinPath(dir, e.name);
     popts.durability.fsync = db->options_.fsync;
-    popts.durability.wal_batch_bytes = db->options_.wal_batch_bytes;
     popts.durability.page_size = popts.store.page_size;
     popts.durability.fs = fs;
     auto opened =
@@ -279,7 +272,6 @@ Status PartitionedDb::CreatePartitionLocked(const std::string& name,
     GcPartitionDir(name);
     popts.durability.data_dir = sub;
     popts.durability.fsync = options_.fsync;
-    popts.durability.wal_batch_bytes = options_.wal_batch_bytes;
     popts.durability.page_size = popts.store.page_size;
     popts.durability.fs = fs_;
     auto opened = RankCubeDb::Open(std::move(seed), std::move(popts));
@@ -651,14 +643,7 @@ PartitionedDbStats PartitionedDb::Stats() const {
     out.ranges[part->name] = part->range;
     out.per_partition.emplace_back(part->name, std::move(stats));
   }
-  ResultCacheStats cs = cache_.Stats();
-  out.cache_hits = cs.hits;
-  out.cache_misses = cs.misses;
-  out.cache_entries = cs.entries;
-  out.cache_bytes = cs.bytes;
-  out.cache_max_bytes = cs.max_bytes;
-  out.cache_evictions = cs.evictions;
-  out.cache_invalidations = cs.invalidations;
+  out.cache = cache_.Stats();
   std::lock_guard<std::mutex> t(traffic_mu_);
   out.queries_executed = queries_executed_;
   out.query_failures = query_failures_;

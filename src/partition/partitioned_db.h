@@ -110,14 +110,8 @@ struct PartitionedDbStats {
   uint64_t query_failures = 0;
   uint64_t partitions_queried = 0;
   uint64_t partitions_pruned = 0;  ///< predicate + bound, cumulative
-  // -- scatter result cache (all zero when Options::cache.max_bytes == 0) --
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  uint64_t cache_entries = 0;
-  uint64_t cache_bytes = 0;
-  uint64_t cache_max_bytes = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_invalidations = 0;
+  /// Scatter result cache (all zero when Options::cache.max_bytes == 0).
+  ResultCacheStats cache;
   std::vector<std::pair<std::string, DbStats>> per_partition;  ///< seq order
   std::map<std::string, PartitionRange> ranges;
 
@@ -134,7 +128,7 @@ class PartitionedDb {
     /// Selection dimension whose values route rows to partitions.
     int partition_dim = 0;
     /// Per-partition database template (store geometry, engine set,
-    /// planner knobs). `db.durability` is ignored — durable layout is
+    /// caches, feedback). `db.durability` is ignored — durable layout is
     /// governed by `data_dir` below.
     RankCubeDb::Options db;
     /// Root directory for durable mode; empty = ephemeral. Each partition
@@ -142,7 +136,6 @@ class PartitionedDb {
     /// checkpoints; `data_dir`/PARTITIONS is the root manifest.
     std::string data_dir;
     FsyncPolicy fsync = FsyncPolicy::kBatch;
-    size_t wal_batch_bytes = 1 << 16;
     Fs* fs = nullptr;  ///< nullptr = Fs::Posix() (FaultFs injectable)
     /// Parallelism of the gather: candidates run in waves of this many
     /// threads (1 = sequential, fully utilizing the bound-order early

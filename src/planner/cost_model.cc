@@ -10,6 +10,13 @@ namespace {
 
 constexpr double kEps = 1e-12;
 
+/// Neighborhood/branch-and-bound overshoot: blocks (leaves) examined
+/// beyond the ideal k-supplying set before the S_k bound closes. Like the
+/// two factors below, calibrated against measured ExecStats::pages_read on
+/// a mixed workload (planner_test's envelope case); every other quantity
+/// comes from TableStats or the structure's AccessStructureInfo.
+constexpr double kSearchOvershoot = 2.0;
+
 double Ceil1(double x) { return std::max(1.0, std::ceil(x)); }
 
 std::vector<int> SortedQueryDims(const TopKQuery& query) {
@@ -83,7 +90,6 @@ PseudoGeometry PseudoOf(const TableStats& ts, int grid_bins,
 /// each covering cuboid pays pseudo-block pages for newly touched pids.
 CostEstimate GridFamilyCost(const AccessStructureInfo& info,
                             const TopKQuery& query, const TableStats& ts,
-                            const CostModelOptions& opt,
                             const std::vector<std::vector<int>>& covering) {
   QueryShape q = ShapeOf(query, ts);
   CostEstimate est;
@@ -99,8 +105,7 @@ CostEstimate GridFamilyCost(const AccessStructureInfo& info,
   // expansion overshoot, capped at the whole grid.
   double visited =
       q.kk > 0
-          ? opt.search_overshoot * Ceil1(q.kk / std::max(match_per_block,
-                                                         kEps))
+          ? kSearchOvershoot * Ceil1(q.kk / std::max(match_per_block, kEps))
           : 1.0;
   visited = std::min(visited, blocks);
 
@@ -139,7 +144,7 @@ CostEstimate GridFamilyCost(const AccessStructureInfo& info,
 }
 
 CostEstimate GridCost(const AccessStructureInfo& info, const TopKQuery& query,
-                      const TableStats& ts, const CostModelOptions& opt) {
+                      const TableStats& ts) {
   std::vector<int> dims = SortedQueryDims(query);
   if (!dims.empty() && !HasExactSet(info, dims)) {
     CostEstimate est;
@@ -148,12 +153,11 @@ CostEstimate GridCost(const AccessStructureInfo& info, const TopKQuery& query,
   }
   std::vector<std::vector<int>> covering;
   if (!dims.empty()) covering.push_back(dims);
-  return GridFamilyCost(info, query, ts, opt, covering);
+  return GridFamilyCost(info, query, ts, covering);
 }
 
 CostEstimate FragmentsCost(const AccessStructureInfo& info,
-                           const TopKQuery& query, const TableStats& ts,
-                           const CostModelOptions& opt) {
+                           const TopKQuery& query, const TableStats& ts) {
   std::vector<int> dims = SortedQueryDims(query);
   // Covering set: the query dims of each fragment group form one cuboid
   // (exact-match when a single group holds them all, §3.4.2).
@@ -174,7 +178,7 @@ CostEstimate FragmentsCost(const AccessStructureInfo& info,
     est.reason = "predicate dimensions not covered by the fragment groups";
     return est;
   }
-  return GridFamilyCost(info, query, ts, opt, covering);
+  return GridFamilyCost(info, query, ts, covering);
 }
 
 CostEstimate TableScanCost(const TableStats& ts, const TopKQuery& query) {
@@ -227,8 +231,7 @@ TreeShape TreeOf(const AccessStructureInfo& info, const TableStats& ts) {
 }
 
 CostEstimate RankingFirstCost(const AccessStructureInfo& info,
-                              const TopKQuery& query, const TableStats& ts,
-                              const CostModelOptions& opt) {
+                              const TopKQuery& query, const TableStats& ts) {
   QueryShape q = ShapeOf(query, ts);
   TreeShape t = TreeOf(info, ts);
   CostEstimate est;
@@ -242,7 +245,7 @@ CostEstimate RankingFirstCost(const AccessStructureInfo& info,
       q.s > 0 ? q.kk / std::max(q.sel, kEps) : q.kk;
   double leaves_read = std::min(
       t.leaves,
-      opt.search_overshoot * Ceil1(candidates / t.entries_per_leaf));
+      kSearchOvershoot * Ceil1(candidates / t.entries_per_leaf));
   const double internal = t.depth + leaves_read / t.fanout;
   est.pages = internal + leaves_read + candidates;
   est.tuples = leaves_read * t.entries_per_leaf;
@@ -251,7 +254,7 @@ CostEstimate RankingFirstCost(const AccessStructureInfo& info,
 
 CostEstimate SignatureCost(const AccessStructureInfo& info,
                            const TopKQuery& query, const TableStats& ts,
-                           const CostModelOptions& opt, bool lossy) {
+                           bool lossy) {
   std::vector<int> dims = SortedQueryDims(query);
   if (!dims.empty() && !HasExactSet(info, dims)) {
     for (int d : dims) {
@@ -283,13 +286,15 @@ CostEstimate SignatureCost(const AccessStructureInfo& info,
   // closes and the search exhausts every passing leaf.
   double leaves_read = std::min(
       passing_leaves,
-      opt.search_overshoot *
+      kSearchOvershoot *
           Ceil1(q.kk * passing_leaves / std::max(q.matches, kEps)));
   const double internal = t.depth + leaves_read / t.fanout;
   // Partial-signature loads are nearly free: the pruner caches each
   // partial after its first touch, and one cell's stored signature spans
-  // only a few alpha-page partials.
-  const double sig_pages = q.s * opt.signature_pages_per_source;
+  // only a few alpha-page partials (§4.2.3), so a whole query charges
+  // about this many pages per predicate source.
+  constexpr double kSignaturePagesPerSource = 2.0;
+  const double sig_pages = q.s * kSignaturePagesPerSource;
   est.pages = internal + leaves_read + sig_pages;
   est.tuples = leaves_read * t.entries_per_leaf;
   if (lossy) {
@@ -301,8 +306,7 @@ CostEstimate SignatureCost(const AccessStructureInfo& info,
 }
 
 CostEstimate IndexMergeCost(const AccessStructureInfo& info,
-                            const TopKQuery& query, const TableStats& ts,
-                            const CostModelOptions& opt) {
+                            const TopKQuery& query, const TableStats& ts) {
   if (!query.predicates.empty()) {
     CostEstimate est;
     est.reason = "index_merge evaluates no boolean predicates (§5.1.1)";
@@ -326,8 +330,10 @@ CostEstimate IndexMergeCost(const AccessStructureInfo& info,
       std::max(q.kk, 1.0) / static_cast<double>(std::max<uint64_t>(
                                 ts.num_rows, 1)),
       1.0 / static_cast<double>(r));
+  // Joint-state expansion reads beyond each tree's ideal frontier.
+  constexpr double kMergeFrontierFactor = 3.0;
   const double frontier_leaves =
-      opt.merge_frontier_factor * Ceil1(frac * leaves_per_tree);
+      kMergeFrontierFactor * Ceil1(frac * leaves_per_tree);
   est.pages = static_cast<double>(r) *
               (depth + std::min(frontier_leaves, leaves_per_tree));
   est.tuples = static_cast<double>(r) *
@@ -340,25 +346,19 @@ CostEstimate IndexMergeCost(const AccessStructureInfo& info,
 namespace {
 
 CostEstimate DispatchCost(const AccessStructureInfo& info,
-                          const TopKQuery& query, const TableStats& ts,
-                          const CostModelOptions& options) {
+                          const TopKQuery& query, const TableStats& ts) {
   CostEstimate est;
   if (info.engine == "table_scan") return TableScanCost(ts, query);
-  if (info.engine == "grid") return GridCost(info, query, ts, options);
-  if (info.engine == "fragments") {
-    return FragmentsCost(info, query, ts, options);
-  }
+  if (info.engine == "grid") return GridCost(info, query, ts);
+  if (info.engine == "fragments") return FragmentsCost(info, query, ts);
   if (info.engine == "signature" || info.engine == "signature_lossy") {
-    return SignatureCost(info, query, ts, options,
-                         info.engine == "signature_lossy");
+    return SignatureCost(info, query, ts, info.engine == "signature_lossy");
   }
   if (info.engine == "boolean_first") return BooleanFirstCost(query, ts);
   if (info.engine == "ranking_first") {
-    return RankingFirstCost(info, query, ts, options);
+    return RankingFirstCost(info, query, ts);
   }
-  if (info.engine == "index_merge") {
-    return IndexMergeCost(info, query, ts, options);
-  }
+  if (info.engine == "index_merge") return IndexMergeCost(info, query, ts);
   est.reason = "no cost model for engine '" + info.engine +
                "' (force_engine only)";
   return est;
@@ -367,8 +367,7 @@ CostEstimate DispatchCost(const AccessStructureInfo& info,
 }  // namespace
 
 CostEstimate EstimateCost(const AccessStructureInfo& info,
-                          const TopKQuery& query, const TableStats& ts,
-                          const CostModelOptions& options) {
+                          const TopKQuery& query, const TableStats& ts) {
   CostEstimate est;
   if (!query.predicates.empty() && !info.supports_predicates) {
     est.reason = "engine does not evaluate boolean predicates";
@@ -397,7 +396,7 @@ CostEstimate EstimateCost(const AccessStructureInfo& info,
   // since-compaction aggregates are the (conservative) fallback.
   const bool stale = info.built && info.engine != "table_scan" &&
                      ts.epoch > info.built_epoch;
-  if (!stale) return DispatchCost(info, query, ts, options);
+  if (!stale) return DispatchCost(info, query, ts);
 
   uint64_t pending_inserts = ts.delta_rows;
   uint64_t pending_deletes = ts.deleted_since_compact;
@@ -414,13 +413,13 @@ CostEstimate EstimateCost(const AccessStructureInfo& info,
             : 0.0;
   }
   if (pending_inserts == 0 && pending_deletes == 0) {
-    return DispatchCost(info, query, ts, options);
+    return DispatchCost(info, query, ts);
   }
 
   TopKQuery effective = query;
   effective.k = query.k + static_cast<int>(
                               std::min<uint64_t>(pending_deletes, 1u << 20));
-  est = DispatchCost(info, effective, ts, options);
+  est = DispatchCost(info, effective, ts);
   if (!est.feasible) return est;
   est.pages += overlay_pages;
   est.tuples += static_cast<double>(pending_inserts);

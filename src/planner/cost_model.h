@@ -33,29 +33,6 @@
 
 namespace rankcube {
 
-/// Tunables of the cost model. The defaults were calibrated against
-/// measured ExecStats::pages_read on the bench_planner mixed workload;
-/// they are deliberately few — every other quantity comes from TableStats
-/// or the structure's AccessStructureInfo.
-struct CostModelOptions {
-  /// Neighborhood/branch-and-bound overshoot: blocks (leaves) examined
-  /// beyond the ideal k-supplying set before the S_k bound closes.
-  double search_overshoot = 2.0;
-  /// Partial-signature pages charged per predicate source over a whole
-  /// query (the pruner caches partials after first touch, and §4.2.3's
-  /// decomposition keeps one cell's signature to a few alpha-page
-  /// partials).
-  double signature_pages_per_source = 2.0;
-  /// index_merge: leaf-frontier multiplier covering joint-state expansion
-  /// beyond the per-tree ideal frontier.
-  double merge_frontier_factor = 3.0;
-  /// kLatency objective: device cost per physical page (us) and CPU cost
-  /// per exact tuple evaluation (us). The page cost matches the repo's
-  /// 0.1 ms/page disk-weighted convention (bench_common).
-  double page_cost_us = 100.0;
-  double tuple_cost_us = 0.05;
-};
-
 /// One candidate's estimate. `pages` and `tuples` are meaningful only when
 /// `feasible`; `reason` explains infeasibility otherwise.
 struct CostEstimate {
@@ -69,8 +46,7 @@ struct CostEstimate {
 /// `info`, including the capability checks (predicate support, convexity,
 /// cuboid coverage). Works on predicted and built entries alike.
 CostEstimate EstimateCost(const AccessStructureInfo& info,
-                          const TopKQuery& query, const TableStats& stats,
-                          const CostModelOptions& options);
+                          const TopKQuery& query, const TableStats& stats);
 
 /// Predicted AccessStructureInfo for a not-yet-built structure under
 /// `build` options. Unknown engine keys (externally registered backends)

@@ -4,30 +4,33 @@
 
 namespace rankcube {
 
+namespace {
+
 /// One costed candidate row under the requested objective (shared by the
 /// forced and cost-based paths so their cost fields stay in the same
 /// units).
-PlanCandidate Planner::MakeCandidate(const std::string& engine,
-                                     const CostEstimate& est,
-                                     const QueryOptions& opts) const {
+PlanCandidate MakeCandidate(const std::string& engine, const CostEstimate& est,
+                            const QueryOptions& opts) {
+  // kLatency: device cost per physical page and CPU cost per exact tuple
+  // evaluation, in us. The page cost is the disk-weighted 0.1 ms a page.
+  constexpr double kPageCostUs = 100.0;
+  constexpr double kTupleCostUs = 0.05;
   PlanCandidate cand;
   cand.engine = engine;
   cand.feasible = est.feasible;
   cand.est_pages = est.pages;
   cand.reason = est.reason;
-  cand.est_cost =
-      opts.optimize_for == OptimizeFor::kPages
-          ? est.pages
-          : est.pages * options_.cost.page_cost_us +
-                est.tuples * options_.cost.tuple_cost_us;
+  cand.est_cost = opts.optimize_for == OptimizeFor::kPages
+                      ? est.pages
+                      : est.pages * kPageCostUs + est.tuples * kTupleCostUs;
   return cand;
 }
 
-Result<PlanInfo> Planner::Plan(const TopKQuery& query,
-                               const TableStats& stats,
-                               const Catalog& catalog,
-                               const QueryOptions& opts,
-                               const CostFeedback* feedback) const {
+}  // namespace
+
+Result<PlanInfo> PlanQuery(const TopKQuery& query, const TableStats& stats,
+                           const Catalog& catalog, const QueryOptions& opts,
+                           const CostFeedback* feedback) {
   if (catalog.size() == 0) {
     return Status::NotFound("planner catalog is empty");
   }
@@ -58,7 +61,7 @@ Result<PlanInfo> Planner::Plan(const TopKQuery& query,
     plan.forced = true;
     plan.chosen_engine = opts.force_engine;
     CostEstimate est =
-        correct(info->engine, EstimateCost(*info, query, stats, options_.cost));
+        correct(info->engine, EstimateCost(*info, query, stats));
     plan.estimated_pages = est.feasible ? est.pages : 0.0;
     plan.candidates.push_back(MakeCandidate(info->engine, est, opts));
     return plan;
@@ -67,8 +70,7 @@ Result<PlanInfo> Planner::Plan(const TopKQuery& query,
   PlanInfo plan;
   for (const auto& info : catalog.entries()) {
     plan.candidates.push_back(MakeCandidate(
-        info.engine,
-        correct(info.engine, EstimateCost(info, query, stats, options_.cost)),
+        info.engine, correct(info.engine, EstimateCost(info, query, stats)),
         opts));
   }
 

@@ -1,7 +1,7 @@
 // Cost-based plan selection: which physical access structure answers a
 // given logical top-k query.
 //
-// The Planner enumerates every catalog entry as a candidate, runs the
+// PlanQuery enumerates every catalog entry as a candidate, runs the
 // capability checks and the block-access cost model (cost_model.h) on each,
 // and picks the cheapest feasible candidate under the requested objective.
 // The full candidate table travels back in the PlanInfo — both for
@@ -45,35 +45,16 @@ struct QueryOptions {
   uint64_t deadline_ms = 0;
 };
 
-struct PlannerOptions {
-  CostModelOptions cost;
-};
-
-class Planner {
- public:
-  explicit Planner(PlannerOptions options = PlannerOptions())
-      : options_(options) {}
-
-  /// Picks the engine for `query` from `catalog`. Returns NotFound with
-  /// the per-candidate reasons when no structure can answer the query, and
-  /// NotFound listing the catalog keys when opts.force_engine names an
-  /// unknown engine. When `feedback` is non-null, each candidate's page
-  /// estimate is multiplied by the learned per-family correction before
-  /// costing, so measured I/O steers both the choice and the reported
-  /// estimated_pages.
-  Result<PlanInfo> Plan(const TopKQuery& query, const TableStats& stats,
-                        const Catalog& catalog, const QueryOptions& opts,
-                        const CostFeedback* feedback = nullptr) const;
-
-  const PlannerOptions& options() const { return options_; }
-
- private:
-  PlanCandidate MakeCandidate(const std::string& engine,
-                              const CostEstimate& est,
-                              const QueryOptions& opts) const;
-
-  PlannerOptions options_;
-};
+/// Picks the engine for `query` from `catalog`. Returns NotFound with the
+/// per-candidate reasons when no structure can answer the query, and
+/// NotFound listing the catalog keys when opts.force_engine names an
+/// unknown engine. When `feedback` is non-null, each candidate's page
+/// estimate is multiplied by the learned per-family correction before
+/// costing, so measured I/O steers both the choice and the reported
+/// estimated_pages.
+Result<PlanInfo> PlanQuery(const TopKQuery& query, const TableStats& stats,
+                           const Catalog& catalog, const QueryOptions& opts,
+                           const CostFeedback* feedback = nullptr);
 
 }  // namespace rankcube
 

@@ -30,14 +30,7 @@ std::string DbStats::ToString() const {
      << "pages_charged=" << pages_charged << "\n"
      << "pages_device=" << pages_device << "\n"
      << "cache_hit_rate=" << cache_hit_rate << "\n"
-     << "cache_hits=" << cache_hits << "\n"
-     << "cache_reuse_hits=" << cache_reuse_hits << "\n"
-     << "cache_misses=" << cache_misses << "\n"
-     << "cache_entries=" << cache_entries << "\n"
-     << "cache_bytes=" << cache_bytes << "\n"
-     << "cache_max_bytes=" << cache_max_bytes << "\n"
-     << "cache_evictions=" << cache_evictions << "\n"
-     << "cache_invalidations=" << cache_invalidations << "\n"
+     << cache.ToString("cache_")
      << "durable=" << (durable ? 1 : 0) << "\n"
      << "read_only=" << (read_only ? 1 : 0) << "\n";
   if (durable) {
@@ -65,7 +58,6 @@ RankCubeDb::RankCubeDb(Table table, Options options)
       store_(options.store),
       stats_(TableStats::Compute(table_, store_.page_size())),
       options_(std::move(options)),
-      planner_(options_.planner),
       cache_(options_.cache),
       feedback_(options_.feedback),
       build_io_(&store_) {
@@ -275,7 +267,7 @@ Result<RankCubeDb::RoutedEngine> RankCubeDb::Route(const TopKQuery& query,
                                                    const QueryOptions& opts) {
   RC_RETURN_IF_ERROR(ValidateQuery(query, table_.schema()));
   std::lock_guard<std::mutex> lock(mu_);
-  auto plan = planner_.Plan(query, stats_, catalog_, opts, &feedback_);
+  auto plan = PlanQuery(query, stats_, catalog_, opts, &feedback_);
   if (!plan.ok()) return plan.status();
   auto engine = EngineLocked(plan.value().chosen_engine);
   if (!engine.ok()) return engine.status();
@@ -476,7 +468,7 @@ Result<PlanInfo> RankCubeDb::Explain(const TopKQuery& query,
   RC_RETURN_IF_ERROR(ValidateQuery(query, table_.schema()));
   std::shared_lock<std::shared_mutex> read(ddl_mu_);
   std::lock_guard<std::mutex> lock(mu_);
-  return planner_.Plan(query, stats_, catalog_, opts, &feedback_);
+  return PlanQuery(query, stats_, catalog_, opts, &feedback_);
 }
 
 std::vector<AccessStructureInfo> RankCubeDb::CatalogEntries() const {
@@ -529,15 +521,7 @@ DbStats RankCubeDb::Stats() const {
           ? 1.0 - static_cast<double>(s.pages_device) /
                       static_cast<double>(s.pages_logical)
           : 0.0;
-  ResultCacheStats cs = cache_.Stats();
-  s.cache_hits = cs.hits;
-  s.cache_reuse_hits = cs.reuse_hits;
-  s.cache_misses = cs.misses;
-  s.cache_entries = cs.entries;
-  s.cache_bytes = cs.bytes;
-  s.cache_max_bytes = cs.max_bytes;
-  s.cache_evictions = cs.evictions;
-  s.cache_invalidations = cs.invalidations;
+  s.cache = cache_.Stats();
   s.durable = durability_ != nullptr;
   if (durability_ != nullptr) {
     s.read_only = read_only_;

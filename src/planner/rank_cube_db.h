@@ -12,7 +12,7 @@
 //                              .Limit(10)
 //                              .Build());
 //
-// — and never name an engine: a cost-based Planner estimates the page
+// — and never name an engine: a cost-based planner estimates the page
 // reads of every cataloged structure (the paper's block-access analysis)
 // and routes the query to the cheapest feasible one. Structures are built
 // lazily, the first time a plan chooses them; their exact statistics then
@@ -87,15 +87,8 @@ struct DbStats {
   /// Shared-buffer-cache hit rate over all query I/O so far
   /// (1 - device/logical); 0 when no pages were read yet.
   double cache_hit_rate = 0.0;
-  // -- result cache (all zero when Options::cache.max_bytes == 0) --
-  uint64_t cache_hits = 0;        ///< exact (query, epoch) hits
-  uint64_t cache_reuse_hits = 0;  ///< certified near-duplicate reuses
-  uint64_t cache_misses = 0;      ///< cacheable queries executed in full
-  uint64_t cache_entries = 0;
-  uint64_t cache_bytes = 0;
-  uint64_t cache_max_bytes = 0;
-  uint64_t cache_evictions = 0;
-  uint64_t cache_invalidations = 0;
+  /// Result cache (all zero when Options::cache.max_bytes == 0).
+  ResultCacheStats cache;
   // -- durability (all zero for an ephemeral db) --
   bool durable = false;    ///< opened with a data_dir (WAL + checkpoints)
   bool read_only = false;  ///< degraded: serving last good state, writes
@@ -140,7 +133,6 @@ class RankCubeDb {
     /// Registry keys to catalog; empty = every registered engine. Keys
     /// outside this list are not plannable and not forceable on this db.
     std::vector<std::string> engines;
-    PlannerOptions planner;
     /// Durable-storage knobs; used only by Open() (data_dir must be set
     /// there). The plain constructor ignores this and stays ephemeral.
     DurabilityOptions durability;
@@ -311,7 +303,6 @@ class RankCubeDb {
   PageStore store_;
   TableStats stats_;
   Options options_;
-  Planner planner_;
   /// Both internally synchronized; populated on the read path under the
   /// shared ddl gate (readers race each other, never a writer).
   ResultCache cache_;

@@ -10,7 +10,7 @@
 //
 // One request in flight per connection (the protocol is strictly
 // request/response); concurrency comes from opening one client per worker,
-// which is exactly how bench_serve and the server tests drive load. Every
+// which is exactly how the server tests and rcbench drive load. Every
 // call surfaces the server's typed wire code through Response::code, and
 // transport-level failures (connection reset, truncated frame) come back as
 // error Statuses — the two are deliberately distinct.

@@ -526,18 +526,9 @@ Response RankCubeServer::DoCache(const Request& req) {
     return Response::Error(WireCode::kBadRequest,
                            "CACHE op must be stats, clear or resize");
   }
-  ResultCacheStats s =
-      pdb_ != nullptr ? pdb_->CacheStats() : db_->CacheStats();
   Response resp;
-  resp.lines.push_back("hits=" + std::to_string(s.hits));
-  resp.lines.push_back("reuse_hits=" + std::to_string(s.reuse_hits));
-  resp.lines.push_back("misses=" + std::to_string(s.misses));
-  resp.lines.push_back("insertions=" + std::to_string(s.insertions));
-  resp.lines.push_back("invalidations=" + std::to_string(s.invalidations));
-  resp.lines.push_back("evictions=" + std::to_string(s.evictions));
-  resp.lines.push_back("entries=" + std::to_string(s.entries));
-  resp.lines.push_back("bytes=" + std::to_string(s.bytes));
-  resp.lines.push_back("max_bytes=" + std::to_string(s.max_bytes));
+  resp.lines = SplitLines(
+      (pdb_ != nullptr ? pdb_->CacheStats() : db_->CacheStats()).ToString());
   return resp;
 }
 

@@ -82,7 +82,7 @@ Result<DurabilityManager::Opened> DurabilityManager::Open(
                                            opts.page_size));
     auto wal = WalWriter::Create(fs, JoinPath(opts.data_dir,
                                               mgr.manifest_.wal_file),
-                                 seed.epoch(), mgr.WalOptions());
+                                 seed.epoch(), opts.fsync);
     if (!wal.ok()) return wal.status();
     mgr.wal_ = std::move(wal).value();
     RC_RETURN_IF_ERROR(StoreManifest(fs, opts.data_dir, mgr.manifest_));
@@ -151,7 +151,7 @@ Result<DurabilityManager::Opened> DurabilityManager::Open(
                                                scan.start_epoch,
                                                scan.valid_bytes,
                                                scan.records.size(),
-                                               mgr.WalOptions());
+                                               opts.fsync);
         if (!writer.ok()) return writer.status();
         mgr.wal_ = std::move(writer).value();
       }
@@ -204,7 +204,7 @@ Status DurabilityManager::Checkpoint(const Table& table) {
   // harmless: zero mutations happened, so the segment holds no record the
   // previous manifest still needs.
   auto wal = WalWriter::Create(fs, JoinPath(options_.data_dir, next.wal_file),
-                               epoch, WalOptions());
+                               epoch, options_.fsync);
   if (!wal.ok()) return wal.status();
 
   // 3. Commit point: the manifest rename.

@@ -44,9 +44,8 @@ namespace rankcube {
 struct DurabilityOptions {
   std::string data_dir;
   FsyncPolicy fsync = FsyncPolicy::kBatch;
-  size_t wal_batch_bytes = 1 << 16;  ///< kBatch group-commit threshold
-  size_t page_size = 4096;           ///< checkpoint file page size
-  Fs* fs = nullptr;                  ///< nullptr = Fs::Posix()
+  size_t page_size = 4096;  ///< checkpoint file page size
+  Fs* fs = nullptr;         ///< nullptr = Fs::Posix()
 };
 
 /// What Open() found and did; surfaced through DbStats for operators and
@@ -114,9 +113,6 @@ class DurabilityManager {
   explicit DurabilityManager(DurabilityOptions options)
       : options_(std::move(options)) {}
 
-  WalWriter::Options WalOptions() const {
-    return {options_.fsync, options_.wal_batch_bytes};
-  }
   /// Removes checkpoint/WAL files the manifest no longer references.
   void CollectGarbage();
 

@@ -58,7 +58,7 @@ Result<FsyncPolicy> ParseFsyncPolicy(const std::string& name) {
 Result<std::unique_ptr<WalWriter>> WalWriter::Create(Fs* fs,
                                                      const std::string& path,
                                                      uint64_t start_epoch,
-                                                     Options options) {
+                                                     FsyncPolicy fsync) {
   auto file = fs->NewWritableFile(path, /*truncate=*/true);
   if (!file.ok()) return file.status();
 
@@ -72,16 +72,16 @@ Result<std::unique_ptr<WalWriter>> WalWriter::Create(Fs* fs,
   RC_RETURN_IF_ERROR(file.value()->Append(header));
   RC_RETURN_IF_ERROR(file.value()->Sync());
   return std::unique_ptr<WalWriter>(new WalWriter(
-      std::move(file).value(), start_epoch, header.size(), 0, options));
+      std::move(file).value(), start_epoch, header.size(), 0, fsync));
 }
 
 Result<std::unique_ptr<WalWriter>> WalWriter::OpenForAppend(
     Fs* fs, const std::string& path, uint64_t start_epoch, uint64_t bytes,
-    uint64_t records, Options options) {
+    uint64_t records, FsyncPolicy fsync) {
   auto file = fs->NewWritableFile(path, /*truncate=*/false);
   if (!file.ok()) return file.status();
   return std::unique_ptr<WalWriter>(new WalWriter(
-      std::move(file).value(), start_epoch, bytes, records, options));
+      std::move(file).value(), start_epoch, bytes, records, fsync));
 }
 
 Status WalWriter::AppendRecord(std::string body) {
@@ -95,12 +95,14 @@ Status WalWriter::AppendRecord(std::string body) {
   bytes_ += frame.size();
   ++records_;
   unsynced_ += frame.size();
-  switch (options_.fsync) {
+  switch (fsync_) {
     case FsyncPolicy::kAlways:
       return Sync();
-    case FsyncPolicy::kBatch:
-      if (unsynced_ >= options_.batch_bytes) return Sync();
+    case FsyncPolicy::kBatch: {
+      constexpr size_t kGroupCommitBytes = 1 << 16;  // max unsynced bytes
+      if (unsynced_ >= kGroupCommitBytes) return Sync();
       return Status::OK();
+    }
     case FsyncPolicy::kOff:
       return Status::OK();
   }

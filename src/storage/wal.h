@@ -43,7 +43,7 @@ namespace rankcube {
 /// When an acknowledged write is on stable storage.
 enum class FsyncPolicy {
   kAlways,  ///< fsync every commit: no acked write can be lost
-  kBatch,   ///< group commit: fsync once >= batch_bytes are pending
+  kBatch,   ///< group commit: fsync once >= 64 KiB are pending
   kOff,     ///< never fsync: the OS flushes eventually (benchmarking)
 };
 
@@ -53,23 +53,18 @@ Result<FsyncPolicy> ParseFsyncPolicy(const std::string& name);
 
 class WalWriter {
  public:
-  struct Options {
-    FsyncPolicy fsync = FsyncPolicy::kBatch;
-    size_t batch_bytes = 1 << 16;  ///< kBatch: max unsynced bytes
-  };
-
   /// Starts a fresh segment at `path` (truncating) whose records will begin
   /// at epoch `start_epoch` + 1; writes + syncs the header.
   static Result<std::unique_ptr<WalWriter>> Create(Fs* fs,
                                                    const std::string& path,
                                                    uint64_t start_epoch,
-                                                   Options options);
+                                                   FsyncPolicy fsync);
 
   /// Reopens an existing (already validated + truncated) segment for
   /// further appends after recovery.
   static Result<std::unique_ptr<WalWriter>> OpenForAppend(
       Fs* fs, const std::string& path, uint64_t start_epoch, uint64_t bytes,
-      uint64_t records, Options options);
+      uint64_t records, FsyncPolicy fsync);
 
   Status AppendInsert(uint64_t seq, const std::vector<int32_t>& sel,
                       const std::vector<double>& rank);
@@ -85,12 +80,12 @@ class WalWriter {
 
  private:
   WalWriter(std::unique_ptr<WritableFile> file, uint64_t start_epoch,
-            uint64_t bytes, uint64_t records, Options options)
+            uint64_t bytes, uint64_t records, FsyncPolicy fsync)
       : file_(std::move(file)),
         start_epoch_(start_epoch),
         bytes_(bytes),
         records_(records),
-        options_(options) {}
+        fsync_(fsync) {}
 
   Status AppendRecord(std::string body);
 
@@ -99,7 +94,7 @@ class WalWriter {
   uint64_t bytes_;
   uint64_t records_;
   size_t unsynced_ = 0;
-  Options options_;
+  FsyncPolicy fsync_;
 };
 
 /// One decoded WAL record.

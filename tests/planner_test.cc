@@ -4,16 +4,21 @@
 //  (b) the chosen engine shifts with selectivity, predicate count, k and
 //      function shape in the directions the paper's block-access analysis
 //      predicts,
-//  (c) force_engine and unplannable queries fail with clean Statuses.
+//  (c) force_engine and unplannable queries fail with clean Statuses,
+//  (d) on a mixed workload the planner reads within 15% of the per-query
+//      best engine's pages, and feedback calibrates its estimates.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "common/rng.h"
 #include "engine/query_builder.h"
 #include "engine/registry.h"
 #include "gen/queries.h"
@@ -364,6 +369,172 @@ TEST(RankCubeDbTest, CatalogUpgradesPredictionsToBuiltStats) {
     }
   }
   EXPECT_TRUE(found);
+}
+
+// kLatency prices a page at 100 us and an exact evaluation at 0.05 us;
+// kPages prices the pages alone. Both objectives see the same page
+// estimates.
+TEST(PlannerObjectiveTest, LatencyPricesPagesAndTuples) {
+  RankCubeDb db(SmallTable());
+  TopKQuery q = QueryBuilder().OrderByLinear({1.0, 2.0}).Limit(10).Build();
+  QueryOptions latency;
+  latency.optimize_for = OptimizeFor::kLatency;
+  auto by_time = db.Explain(q, latency);
+  auto by_pages = db.Explain(q);
+  ASSERT_TRUE(by_time.ok()) << by_time.status().ToString();
+  ASSERT_TRUE(by_pages.ok()) << by_pages.status().ToString();
+  const double rows = static_cast<double>(db.table().num_rows());
+  size_t feasible = 0;
+  for (const PlanCandidate& c : by_time.value().candidates) {
+    if (!c.feasible) continue;
+    SCOPED_TRACE(c.engine);
+    ++feasible;
+    // The CPU term: at most every row scored once per rank dimension.
+    const double cpu_us = c.est_cost - 100.0 * c.est_pages;
+    EXPECT_GE(cpu_us, 0.0);
+    EXPECT_LE(cpu_us, 0.05 * rows * 2);
+    // A scan scores every row of a predicate-free query.
+    if (c.engine == "table_scan") {
+      EXPECT_DOUBLE_EQ(cpu_us, 0.05 * rows);
+    }
+    for (const PlanCandidate& p : by_pages.value().candidates) {
+      if (p.engine != c.engine) continue;
+      EXPECT_EQ(p.est_pages, c.est_pages);
+      EXPECT_EQ(p.est_cost, p.est_pages);
+    }
+  }
+  EXPECT_GE(feasible, 6u);
+}
+
+// (d) The planner's routing envelope, on 6,000 rows of 8 selection dims
+// from needle ids to binary flags, with the hot low-dimensional cuboids
+// materialized. Nine query classes each favor a different structure. A
+// static engine that rejects a query is charged that query's table_scan
+// pages, the fallback a deployment hard-coded to that engine would take.
+std::vector<TopKQuery> MixedWorkload(const Table& table) {
+  Rng rng(4242);
+  const int big_k = static_cast<int>(table.num_rows() / 6);
+  // Predicates take their values from one random row, so none is empty.
+  auto where = [&](std::initializer_list<int> dims) {
+    QueryBuilder b;
+    Tid row = static_cast<Tid>(rng.UniformInt(table.num_rows()));
+    for (int d : dims) b.Where(d, table.sel(row, d));
+    return b;
+  };
+  std::vector<TopKQuery> out;
+  auto add = [&](auto make) {
+    for (int i = 0; i < 4; ++i) out.push_back(make());
+  };
+  add([&] { return where({0}).OrderByLinear({1, 1}).Limit(10).Build(); });
+  add([&] { return where({1, 2}).OrderByLinear({2, 1}).Limit(10).Build(); });
+  add([&] { return where({2, 3}).OrderByLinear({1, 3}).Limit(10).Build(); });
+  add([&] { return where({3, 5, 6}).OrderByLinear({1, 1}).Limit(10).Build(); });
+  add([&] { return where({6}).OrderByLinear({1, 2}).Limit(10).Build(); });
+  add([&] {
+    return where({4})
+        .OrderByDistance({1, 1}, {rng.Uniform01(), rng.Uniform01()})
+        .Limit(10)
+        .Build();
+  });
+  add([&] {
+    return QueryBuilder()
+        .OrderByLinear({1.0 + rng.Uniform01(), 1.0})
+        .Limit(10)
+        .Build();
+  });
+  add([&] {
+    return QueryBuilder()
+        .OrderByLinear({1.0, 1.0 + rng.Uniform01()})
+        .Limit(big_k)
+        .Build();
+  });
+  add([&] {
+    return where({7}).OrderByLinear({1, 1}).Limit(big_k / 2).Build();
+  });
+  return out;
+}
+
+TEST(PlannerEnvelopeTest, WithinFifteenPercentOfPerQueryBestEngine) {
+  SyntheticSpec spec;
+  spec.num_rows = 6000;
+  spec.num_sel_dims = 8;
+  spec.sel_cardinalities = {2000, 200, 20, 12, 8, 4, 2, 2};
+  spec.num_rank_dims = 2;
+  spec.seed = 7;
+  RankCubeDb::Options options;
+  for (int a = 0; a < 4; ++a) {
+    options.build.grid.cuboid_dim_sets.push_back({a});
+    for (int b = a + 1; b < 4; ++b) {
+      options.build.grid.cuboid_dim_sets.push_back({a, b});
+    }
+  }
+  options.build.grid.cuboid_dim_sets.push_back({0, 1, 2});
+  options.build.grid.cuboid_dim_sets.push_back({1, 2, 3});
+  RankCubeDb db(GenerateSynthetic(spec), options);
+  const std::vector<TopKQuery> workload = MixedWorkload(db.table());
+
+  // The raw cost model routes first; feedback learns afterwards.
+  db.SetFeedbackEnabled(false);
+  auto pages = [&](const TopKQuery& q, const std::string& engine) {
+    QueryOptions opts;
+    opts.force_engine = engine;
+    auto r = db.Query(q, opts);
+    return r.ok() ? static_cast<double>(r.value().stats.pages_read) : -1.0;
+  };
+  std::vector<double> scan;
+  for (const TopKQuery& q : workload) {
+    scan.push_back(pages(q, "table_scan"));
+    ASSERT_GE(scan.back(), 0.0) << q.ToString();
+  }
+  std::vector<double> per_query_best = scan;
+  double best_static = std::numeric_limits<double>::infinity();
+  for (const char* engine :
+       {"grid", "fragments", "signature", "table_scan", "boolean_first",
+        "ranking_first", "index_merge"}) {
+    double total = 0;
+    for (size_t i = 0; i < workload.size(); ++i) {
+      double p = pages(workload[i], engine);
+      if (p < 0) p = scan[i];
+      per_query_best[i] = std::min(per_query_best[i], p);
+      total += p;
+    }
+    best_static = std::min(best_static, total);
+  }
+  // Geomean of estimated over measured pages, each floored at one page.
+  auto routed_pass = [&](double* total, double* estimate_geomean) {
+    double log_ratio = 0;
+    *total = 0;
+    for (const TopKQuery& q : workload) {
+      auto r = db.Query(q);
+      ASSERT_TRUE(r.ok()) << q.ToString() << ": " << r.status().ToString();
+      const double measured = static_cast<double>(r.value().stats.pages_read);
+      *total += measured;
+      log_ratio += std::log(std::max(r.value().plan->estimated_pages, 1.0) /
+                            std::max(measured, 1.0));
+    }
+    *estimate_geomean = std::exp(log_ratio / workload.size());
+  };
+  double planner = 0, raw_geomean = 0;
+  routed_pass(&planner, &raw_geomean);
+  double oracle = 0;
+  for (double p : per_query_best) oracle += p;
+  RecordProperty("planner_pages", std::to_string(planner));
+  RecordProperty("per_query_best_pages", std::to_string(oracle));
+  RecordProperty("best_static_pages", std::to_string(best_static));
+  RecordProperty("estimate_geomean", std::to_string(raw_geomean));
+  EXPECT_LE(planner, 1.15 * oracle);
+  EXPECT_LT(planner, best_static);
+
+  // One training pass with feedback on, then the same workload again.
+  db.SetFeedbackEnabled(true);
+  db.ResetFeedback();
+  double trained = 0, post_geomean = 0;
+  routed_pass(&trained, &post_geomean);
+  routed_pass(&trained, &post_geomean);
+  RecordProperty("post_feedback_estimate_geomean",
+                 std::to_string(post_geomean));
+  EXPECT_GE(post_geomean, 0.85);
+  EXPECT_LE(post_geomean, 1.15);
 }
 
 }  // namespace

@@ -155,13 +155,9 @@ TEST(FaultFsTest, ListDirIsShallow) {
 // ---------------------------------------------------------------------------
 // WAL
 
-WalWriter::Options AlwaysSync() {
-  return {FsyncPolicy::kAlways, 1 << 16};
-}
-
 TEST(WalTest, RoundTrip) {
   FaultFs fs;
-  auto wal = WalWriter::Create(&fs, "/d/wal", 7, AlwaysSync());
+  auto wal = WalWriter::Create(&fs, "/d/wal", 7, FsyncPolicy::kAlways);
   ASSERT_TRUE(wal.ok());
   ASSERT_TRUE(wal.value()->AppendInsert(8, {1, 2}, {0.5, 0.25}).ok());
   ASSERT_TRUE(wal.value()->AppendDelete(9, 3).ok());
@@ -185,7 +181,7 @@ TEST(WalTest, RoundTrip) {
 
 TEST(WalTest, TornTailEndsTheLogRecoverably) {
   FaultFs fs;
-  auto wal = WalWriter::Create(&fs, "/d/wal", 0, AlwaysSync());
+  auto wal = WalWriter::Create(&fs, "/d/wal", 0, FsyncPolicy::kAlways);
   ASSERT_TRUE(wal.value()->AppendInsert(1, {1}, {0.5}).ok());
   uint64_t good_bytes = wal.value()->bytes();
   ASSERT_TRUE(wal.value()->AppendInsert(2, {2}, {0.75}).ok());
@@ -203,7 +199,7 @@ TEST(WalTest, TornTailEndsTheLogRecoverably) {
 
 TEST(WalTest, MidLogCorruptionIsNotATornTail) {
   FaultFs fs;
-  auto wal = WalWriter::Create(&fs, "/d/wal", 0, AlwaysSync());
+  auto wal = WalWriter::Create(&fs, "/d/wal", 0, FsyncPolicy::kAlways);
   ASSERT_TRUE(wal.value()->AppendInsert(1, {1}, {0.5}).ok());
   uint64_t first_end = wal.value()->bytes();
   ASSERT_TRUE(wal.value()->AppendInsert(2, {2}, {0.75}).ok());
@@ -220,7 +216,7 @@ TEST(WalTest, MidLogCorruptionIsNotATornTail) {
 
 TEST(WalTest, HeaderCorruptionFailsTheRead) {
   FaultFs fs;
-  auto wal = WalWriter::Create(&fs, "/d/wal", 0, AlwaysSync());
+  auto wal = WalWriter::Create(&fs, "/d/wal", 0, FsyncPolicy::kAlways);
   ASSERT_TRUE(wal.value()->AppendInsert(1, {1}, {0.5}).ok());
   ASSERT_TRUE(fs.CorruptByte("/d/wal", 6).ok());
   auto read = ReadWal(&fs, "/d/wal");
@@ -836,7 +832,7 @@ TEST(DurabilityTest, ReplayIsIdempotentOverDuplicateRecords) {
   // Apply the same WAL records to a table twice: the second pass must be a
   // clean no-op (seq <= epoch), leaving the table bit-identical.
   FaultFs fs;
-  auto wal = WalWriter::Create(&fs, "/d/wal", 0, AlwaysSync());
+  auto wal = WalWriter::Create(&fs, "/d/wal", 0, FsyncPolicy::kAlways);
   ASSERT_TRUE(wal.value()->AppendInsert(1, {1, 1}, {0.5, 0.5}).ok());
   ASSERT_TRUE(wal.value()->AppendInsert(2, {2, 2}, {0.25, 0.75}).ok());
   ASSERT_TRUE(wal.value()->AppendDelete(3, 40).ok());

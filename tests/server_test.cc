@@ -7,7 +7,10 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <map>
 #include <memory>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -417,6 +420,162 @@ TEST_F(ServerTest, ConcurrentTenantsHitInflightQuotaWithTypedRejections) {
             static_cast<uint64_t>(a_rejected.load()));
 }
 
+/// One connection's request stream: top-k queries with random weights and
+/// 0-2 predicates on distinct dims, and `write_pct`% writes (an INSERT, or
+/// one time in four a DELETE of a tid this stream inserted).
+class MixedRequests {
+ public:
+  MixedRequests(const TableSchema& schema, int write_pct, uint64_t seed)
+      : schema_(schema), write_pct_(write_pct), rng_(seed) {}
+
+  Result<Response> Issue(RankCubeClient& client) {
+    if (static_cast<int>(rng_() % 100) < write_pct_) return IssueWrite(client);
+    WireQuerySpec spec;
+    spec.k = 10;
+    spec.order = "linear:";
+    for (int d = 0; d < schema_.num_rank_dims; ++d) {
+      if (d > 0) spec.order += ',';
+      spec.order += std::to_string(1 + rng_() % 4);
+    }
+    const int npreds = static_cast<int>(rng_() % 3);
+    int32_t dim = static_cast<int32_t>(rng_() % schema_.num_sel_dims());
+    for (int i = 0; i < npreds; ++i) {
+      spec.where.emplace_back(
+          dim, static_cast<int32_t>(rng_() % schema_.sel_cardinality[dim]));
+      dim = (dim + 1) % schema_.num_sel_dims();
+    }
+    return client.Query(spec);
+  }
+
+ private:
+  Result<Response> IssueWrite(RankCubeClient& client) {
+    if (!inserted_.empty() && rng_() % 4 == 0) {
+      // Swap-remove: a tid is deleted at most once, and only by its stream.
+      size_t idx = rng_() % inserted_.size();
+      uint32_t tid = inserted_[idx];
+      inserted_[idx] = inserted_.back();
+      inserted_.pop_back();
+      return client.Delete(tid);
+    }
+    std::vector<int32_t> sel(schema_.num_sel_dims());
+    for (int d = 0; d < schema_.num_sel_dims(); ++d) {
+      sel[d] = static_cast<int32_t>(rng_() % schema_.sel_cardinality[d]);
+    }
+    std::vector<double> rank(schema_.num_rank_dims);
+    for (double& r : rank) r = static_cast<double>(rng_() % 1000) / 1000.0;
+    Result<Response> resp = client.Insert(sel, rank);
+    if (resp.ok() && resp.value().ok() && !resp.value().lines.empty() &&
+        resp.value().lines[0].rfind("tid=", 0) == 0) {
+      inserted_.push_back(static_cast<uint32_t>(
+          std::strtoul(resp.value().lines[0].c_str() + 4, nullptr, 10)));
+    }
+    return resp;
+  }
+
+  TableSchema schema_;
+  int write_pct_;
+  std::mt19937_64 rng_;
+  std::vector<uint32_t> inserted_;
+};
+
+struct LoadOutcome {
+  std::atomic<uint64_t> ok{0};
+  std::atomic<uint64_t> other_codes{0};  ///< neither OK nor a typed rejection
+  std::atomic<uint64_t> transport_errors{0};
+};
+
+/// Drives `port` for 500 ms from 4 tenants x 4 connections, connection w
+/// seeded `seed` + w: a closed loop when `qps` is 0 (each connection
+/// re-issues on reply), else arrivals on one global `qps` schedule.
+void RunMixedLoad(uint16_t port, const TableSchema& schema, uint64_t seed,
+                  int qps, LoadOutcome* out) {
+  using Clock = std::chrono::steady_clock;
+  const auto start = Clock::now();
+  const auto end = start + std::chrono::milliseconds(500);
+  std::atomic<uint64_t> next_arrival{0};
+  std::vector<std::thread> workers;
+  for (int w = 0; w < 16; ++w) {
+    workers.emplace_back([&, w] {
+      auto client = RankCubeClient::Connect("127.0.0.1", port);
+      if (!client.ok() ||
+          !client.value().Hello("t" + std::to_string(w % 4)).ok()) {
+        ++out->transport_errors;
+        return;
+      }
+      MixedRequests gen(schema, /*write_pct=*/10, seed + w);
+      while (true) {
+        if (qps > 0) {
+          auto arrival = start + std::chrono::nanoseconds(static_cast<int64_t>(
+                                     next_arrival++ * 1e9 / qps));
+          if (arrival >= end) break;
+          std::this_thread::sleep_until(arrival);
+        } else if (Clock::now() >= end) {
+          break;
+        }
+        Result<Response> resp = gen.Issue(client.value());
+        if (!resp.ok()) {
+          ++out->transport_errors;
+          return;
+        }
+        switch (resp.value().code) {
+          case WireCode::kOk:
+            ++out->ok;
+            break;
+          case WireCode::kQuotaExceeded:
+          case WireCode::kBudgetExceeded:
+          case WireCode::kDeadlineExceeded:
+            break;
+          default:
+            ++out->other_codes;
+        }
+      }
+    });
+  }
+  for (std::thread& t : workers) t.join();
+}
+
+// Mixed multi-tenant load with 10% writes: four connections per tenant
+// against an in-flight quota of two drive admission control, and device
+// pages cost 20 us. Both loops must make progress, and every reply that is
+// not OK must be a typed quota, budget or deadline rejection.
+TEST(ServerLoadTest, MixedTenantLoadGetsOnlyTypedOutcomes) {
+  SyntheticSpec spec;
+  spec.num_rows = 4000;
+  spec.num_sel_dims = 3;
+  spec.cardinality = 8;
+  spec.num_rank_dims = 2;
+  spec.seed = 7;
+  RankCubeDb::Options db_options;
+  db_options.store.cache_pages = 4096;
+  db_options.store.read_latency_us = 20;
+  RankCubeDb db(GenerateSynthetic(spec), db_options);
+  RankCubeServer::Options options;
+  for (int t = 0; t < 4; ++t) {
+    options.tenant_quotas["t" + std::to_string(t)] =
+        TenantQuota{/*max_inflight=*/2, 0, 0};
+  }
+  RankCubeServer server(&db, options);
+  ASSERT_TRUE(server.Start().ok());
+  const TableSchema schema = db.table().schema();
+
+  {
+    // Warm the routed engines so neither loop starts on lazy builds.
+    auto warm = RankCubeClient::Connect("127.0.0.1", server.port());
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    MixedRequests reads(schema, /*write_pct=*/0, 1);
+    for (int i = 0; i < 10; ++i) (void)reads.Issue(warm.value());
+  }
+
+  for (int qps : {0, 500}) {
+    SCOPED_TRACE(qps == 0 ? "closed loop" : "open loop at 500/s");
+    LoadOutcome out;
+    RunMixedLoad(server.port(), schema, qps == 0 ? 1000 : 2000, qps, &out);
+    EXPECT_GT(out.ok.load(), 0u);
+    EXPECT_EQ(out.transport_errors.load(), 0u);
+    EXPECT_EQ(out.other_codes.load(), 0u);
+  }
+}
+
 TEST_F(ServerTest, SurvivesClientDisconnectMidQuery) {
   StartServer({}, kSlowPageUs);
   for (int i = 0; i < 3; ++i) {
@@ -569,6 +728,110 @@ TEST(DbStatsTest, SnapshotReflectsWritesQueriesAndCompaction) {
   for (const auto& [name, freshness] : after.freshness) {
     EXPECT_TRUE(freshness.fresh()) << name;
   }
+}
+
+// ---------------------------------------------------------------------------
+// STATS and CACHE key sets, in both server modes.
+
+std::map<std::string, std::string> KeyValues(const Response& resp) {
+  std::map<std::string, std::string> out;
+  for (const std::string& line : resp.lines) {
+    size_t eq = line.find('=');
+    if (eq != std::string::npos) out[line.substr(0, eq)] = line.substr(eq + 1);
+  }
+  return out;
+}
+
+/// Runs one query twice (a miss, then an exact hit) and checks that STATS
+/// prints every key of `stats_keys`, that CACHE prints every counter, and
+/// that each result-cache counter STATS prints under `cache_` equals the
+/// CACHE verb's value.
+void ExpectStatsAndCacheKeys(uint16_t port,
+                             std::vector<std::string> stats_keys) {
+  for (const char* key :
+       {"server.connections_accepted", "server.connections_active",
+        "server.requests", "server.request_errors", "server.protocol_errors",
+        "tenant.default.inflight", "tenant.default.admitted",
+        "tenant.default.rejected", "tenant.default.completed",
+        "tenant.default.failed"}) {
+    stats_keys.push_back(key);
+  }
+  auto client = RankCubeClient::Connect("127.0.0.1", port);
+  ASSERT_TRUE(client.ok()) << client.status().ToString();
+  WireQuerySpec spec;
+  spec.k = 5;
+  spec.order = "linear:1,2";
+  spec.where = {{0, 3}};
+  for (int i = 0; i < 2; ++i) {
+    auto tuples = client.value().QueryTuples(spec);
+    ASSERT_TRUE(tuples.ok()) << tuples.status().ToString();
+  }
+  auto stats = client.value().Stats();
+  auto cache = client.value().CacheStats();
+  ASSERT_TRUE(stats.ok() && stats.value().ok());
+  ASSERT_TRUE(cache.ok() && cache.value().ok());
+  std::map<std::string, std::string> s = KeyValues(stats.value());
+  std::map<std::string, std::string> c = KeyValues(cache.value());
+  for (const std::string& key : stats_keys) EXPECT_EQ(s.count(key), 1u) << key;
+  for (const char* key : {"hits", "reuse_hits", "misses", "insertions",
+                          "invalidations", "evictions", "entries", "bytes",
+                          "max_bytes"}) {
+    EXPECT_EQ(c.count(key), 1u) << key;
+  }
+  EXPECT_EQ(c["hits"], "1");
+  EXPECT_EQ(c["misses"], "1");
+  for (const auto& [key, value] : c) {
+    auto printed = s.find("cache_" + key);
+    if (printed != s.end()) {
+      EXPECT_EQ(printed->second, value) << key;
+    }
+  }
+}
+
+TEST(StatsKeysTest, BothServerModesPrintEveryCacheCounter) {
+  const std::vector<std::string> db_keys = {
+      "rows", "live_rows", "epoch", "compacted_epoch", "pending_inserts",
+      "pending_deletes", "engines_cataloged", "engines_built",
+      "construction_pages", "queries_executed", "query_failures",
+      "pages_logical", "pages_charged", "pages_device", "cache_hit_rate",
+      "cache_hits", "cache_reuse_hits", "cache_misses", "cache_entries",
+      "cache_bytes", "cache_max_bytes", "cache_evictions",
+      "cache_invalidations", "durable", "read_only"};
+  SyntheticSpec spec;
+  spec.num_rows = 2000;
+  spec.num_sel_dims = 3;
+  spec.cardinality = 5;
+  spec.num_rank_dims = 2;
+  spec.seed = 99;
+  RankCubeDb::Options db_options;
+  db_options.cache.max_bytes = 1 << 20;
+  RankCubeDb db(GenerateSynthetic(spec), db_options);
+  RankCubeServer server(&db, RankCubeServer::Options{});
+  ASSERT_TRUE(server.Start().ok());
+  {
+    SCOPED_TRACE("single db");
+    ExpectStatsAndCacheKeys(server.port(), db_keys);
+  }
+
+  PartitionedDb::Options popts;
+  popts.schema = db.table().schema();
+  popts.partition_dim = 0;
+  popts.cache.max_bytes = 1 << 20;
+  auto pdb = PartitionedDb::Open(std::move(popts));
+  ASSERT_TRUE(pdb.ok()) << pdb.status().ToString();
+  ASSERT_TRUE(pdb.value()->CreatePartition("p", {0, 5}, GenerateSynthetic(spec))
+                  .ok());
+  RankCubeServer partitioned(pdb.value().get(), RankCubeServer::Options{});
+  ASSERT_TRUE(partitioned.Start().ok());
+  std::vector<std::string> keys = {
+      "partitions", "rows", "live_rows", "durable", "scatter.queries_executed",
+      "scatter.query_failures", "scatter.partitions_queried",
+      "scatter.partitions_pruned", "cache_hits", "cache_misses",
+      "cache_entries", "cache_bytes", "cache_max_bytes", "cache_evictions",
+      "cache_invalidations", "partition.p.range"};
+  for (const std::string& key : db_keys) keys.push_back("partition.p." + key);
+  SCOPED_TRACE("partitioned db");
+  ExpectStatsAndCacheKeys(partitioned.port(), keys);
 }
 
 }  // namespace
