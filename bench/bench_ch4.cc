@@ -149,7 +149,6 @@ void RegisterAll() {
             SignatureCube cube(table, io);
             Rng rng(3);
             for (auto _ : state) {
-              std::vector<Tid> fresh;
               for (int i = 0; i < batch; ++i) {
                 std::vector<int32_t> sel(3);
                 std::vector<double> rank(3);
@@ -157,12 +156,10 @@ void RegisterAll() {
                   sel[d] = static_cast<int32_t>(rng.UniformInt(100));
                   rank[d] = rng.Uniform01();
                 }
-                Status st = table.AddRow(sel, rank);
-                (void)st;
-                fresh.push_back(static_cast<Tid>(table.num_rows() - 1));
+                (void)table.Insert(sel, rank);
               }
               Stopwatch watch;
-              cube.InsertBatch(fresh, &io);
+              (void)cube.ApplyDelta(table.delta(), &io);
               state.counters["ms_per_tuple"] = watch.ElapsedMs() / batch;
             }
           })

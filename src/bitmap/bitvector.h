@@ -63,6 +63,7 @@ class BitReader {
   }
   size_t pos() const { return pos_; }
   bool AtEnd() const { return pos_ >= bv_.size(); }
+  size_t remaining() const { return AtEnd() ? 0 : bv_.size() - pos_; }
 
  private:
   const BitVector& bv_;

@@ -19,10 +19,26 @@ void AppendGamma(uint64_t i, BitVector* out) {
   out->AppendBits(i, bits);
 }
 
-uint64_t ReadGamma(BitReader* reader) {
+// Reads an `nbits` field into *v unless it would cross bit `end`.
+bool ReadField(BitReader* reader, size_t end, int nbits, uint64_t* v) {
+  if (reader->pos() + static_cast<size_t>(nbits) > end) return false;
+  *v = reader->Read(nbits);
+  return true;
+}
+
+Status Overrun() {
+  return Status::Corruption("field crosses the end of its coding region");
+}
+
+// Reads one gamma run code unless it would cross bit `end` or overflow.
+bool ReadGamma(BitReader* reader, size_t end, uint64_t* v) {
   int bits = 1;
-  while (reader->ReadBit()) ++bits;
-  return reader->Read(bits);
+  for (;;) {
+    if (reader->pos() >= end || bits > 64) return false;
+    if (!reader->ReadBit()) break;
+    ++bits;
+  }
+  return ReadField(reader, end, bits, v);
 }
 
 int PosBits(int M) { return std::max(1, Log2Ceil(static_cast<uint64_t>(M))); }
@@ -187,12 +203,18 @@ size_t EncodeNodeAdaptive(const BitVector& arr, int M, BitVector* out) {
 
 Status DecodeNode(BitReader* reader, int M, BitVector* out) {
   const int pos_bits = PosBits(M);
-  if (reader->pos() + NodeHeaderBits(M) > reader->pos() + (1u << 30)) {
-    return Status::Corruption("bit stream underflow");
+  if (reader->remaining() < NodeHeaderBits(M)) {
+    return Status::Corruption("bit stream ends inside a node header");
   }
   auto scheme = static_cast<CodecScheme>(reader->Read(3));
   size_t region_len = static_cast<size_t>(reader->Read(LenBits(M))) + 1;
-  size_t region_end = reader->pos() + region_len;
+  if (reader->remaining() < region_len) {
+    return Status::Corruption("bit stream ends inside a coding region");
+  }
+  // Every read below stays inside the region; a field crossing its end is
+  // malformed.
+  const size_t region_end = reader->pos() + region_len;
+  uint64_t v = 0;
 
   *out = BitVector(static_cast<size_t>(M), false);
   switch (scheme) {
@@ -213,17 +235,20 @@ Status DecodeNode(BitReader* reader, int M, BitVector* out) {
       return Status::OK();
     }
     case CodecScheme::kPiDense: {
-      size_t L = static_cast<size_t>(reader->Read(pos_bits)) + 1;
+      if (!ReadField(reader, region_end, pos_bits, &v)) return Overrun();
+      size_t L = static_cast<size_t>(v) + 1;
       for (size_t i = 0; i < std::min(L, out->size()); ++i) out->Set(i, true);
       while (reader->pos() < region_end) {
-        out->Set(reader->Read(pos_bits) % M, false);
+        if (!ReadField(reader, region_end, pos_bits, &v)) return Overrun();
+        out->Set(v % M, false);
       }
       return Status::OK();
     }
     case CodecScheme::kRlSparse: {
       size_t p = 0;
       while (reader->pos() < region_end) {
-        p += ReadGamma(reader);
+        if (!ReadGamma(reader, region_end, &v)) return Overrun();
+        p += v;
         if (p >= out->size()) break;
         out->Set(p, true);
         ++p;
@@ -231,10 +256,12 @@ Status DecodeNode(BitReader* reader, int M, BitVector* out) {
       return Status::OK();
     }
     case CodecScheme::kRlDense: {
-      size_t L = static_cast<size_t>(reader->Read(pos_bits)) + 1;
+      if (!ReadField(reader, region_end, pos_bits, &v)) return Overrun();
+      size_t L = static_cast<size_t>(v) + 1;
       size_t p = 0;
       while (reader->pos() < region_end && p <= L) {
-        uint64_t ones = ReadGamma(reader);
+        uint64_t ones = 0;
+        if (!ReadGamma(reader, region_end, &ones)) return Overrun();
         for (uint64_t i = 0; i < ones && p < out->size(); ++i) {
           out->Set(p++, true);
         }
@@ -247,7 +274,8 @@ Status DecodeNode(BitReader* reader, int M, BitVector* out) {
       bool dense = scheme == CodecScheme::kPcDense;
       size_t L = static_cast<size_t>(M);
       if (dense) {
-        L = static_cast<size_t>(reader->Read(pos_bits)) + 1;
+        if (!ReadField(reader, region_end, pos_bits, &v)) return Overrun();
+        L = static_cast<size_t>(v) + 1;
         for (size_t i = 0; i < std::min(L, out->size()); ++i) {
           out->Set(i, true);
         }
@@ -256,10 +284,17 @@ Status DecodeNode(BitReader* reader, int M, BitVector* out) {
       const int p = PcPrefixLen(n);
       const int suffix_bits = n - p;
       while (reader->pos() < region_end) {
-        uint64_t prefix = reader->Read(p);
-        size_t count = static_cast<size_t>(reader->Read(suffix_bits)) + 1;
+        uint64_t prefix = 0;
+        if (!ReadField(reader, region_end, p, &prefix) ||
+            !ReadField(reader, region_end, suffix_bits, &v)) {
+          return Overrun();
+        }
+        size_t count = static_cast<size_t>(v) + 1;
         for (size_t i = 0; i < count; ++i) {
-          uint64_t suffix = reader->Read(suffix_bits);
+          uint64_t suffix = 0;
+          if (!ReadField(reader, region_end, suffix_bits, &suffix)) {
+            return Overrun();
+          }
           size_t position = ((prefix << suffix_bits) | suffix) % M;
           out->Set(position, !dense);
         }

@@ -5,6 +5,17 @@
 
 namespace rankcube {
 
+namespace {
+
+/// EWMA smoothing weight in log space; higher adapts faster, lower resists
+/// noise.
+constexpr double kAlpha = 0.25;
+/// Clamp range of the multiplicative correction factor.
+constexpr double kMinFactor = 0.1;
+constexpr double kMaxFactor = 10.0;
+
+}  // namespace
+
 std::string CostFeedback::Family(const std::string& engine) {
   if (engine == "grid" || engine == "fragments") return "grid";
   if (engine == "signature" || engine == "signature_lossy") return "signature";
@@ -16,8 +27,7 @@ double CostFeedback::Correction(const std::string& engine) const {
   std::lock_guard<std::mutex> lock(mu_);
   auto it = state_.find(Family(engine));
   if (it == state_.end()) return 1.0;
-  return std::clamp(std::exp(it->second.first), options_.min_factor,
-                    options_.max_factor);
+  return std::clamp(std::exp(it->second.first), kMinFactor, kMaxFactor);
 }
 
 void CostFeedback::Observe(const std::string& engine, double estimated_pages,
@@ -27,9 +37,8 @@ void CostFeedback::Observe(const std::string& engine, double estimated_pages,
                              std::max(estimated_pages, 1.0));
   std::lock_guard<std::mutex> lock(mu_);
   auto& [log_c, count] = state_[Family(engine)];
-  log_c += options_.alpha * residual;
-  log_c = std::clamp(log_c, std::log(options_.min_factor),
-                     std::log(options_.max_factor));
+  log_c += kAlpha * residual;
+  log_c = std::clamp(log_c, std::log(kMinFactor), std::log(kMaxFactor));
   ++count;
 }
 
@@ -38,8 +47,7 @@ std::map<std::string, CostFeedback::FamilyState> CostFeedback::Snapshot()
   std::lock_guard<std::mutex> lock(mu_);
   std::map<std::string, FamilyState> out;
   for (const auto& [family, state] : state_) {
-    out[family] = {std::clamp(std::exp(state.first), options_.min_factor,
-                              options_.max_factor),
+    out[family] = {std::clamp(std::exp(state.first), kMinFactor, kMaxFactor),
                    state.second};
   }
   return out;

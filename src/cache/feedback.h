@@ -19,9 +19,11 @@
 // error to zero: at the fixed point, corrected estimates equal the measured
 // geometric mean of the recent workload. Log space makes the factor
 // symmetric (2x over and 2x under cancel) and matches the geomean metric
-// planner_test's envelope case gates. Factors are clamped to [min_factor,
-// max_factor] so one wild observation (a cold cache, a pathological query)
-// cannot poison routing.
+// planner_test's envelope case gates. Factors are clamped (feedback.cc
+// holds alpha and the clamp as constants) so one wild observation (a cold
+// cache, a pathological query) cannot poison routing. Feedback starts on;
+// corrections start at 1.0, so routing is unchanged until measured I/O
+// says otherwise.
 //
 // Families, not engines: grid and fragments share one cuboid cost shape,
 // the two signature variants share another — pooling their observations
@@ -41,23 +43,8 @@
 
 namespace rankcube {
 
-struct CostFeedbackOptions {
-  /// Master switch; false = Correction() is identically 1 and Observe() is
-  /// a no-op (the planner behaves exactly as before this subsystem).
-  bool enabled = true;
-  /// EWMA smoothing weight in log space; higher adapts faster, lower
-  /// resists noise.
-  double alpha = 0.25;
-  /// Clamp range of the multiplicative correction factor.
-  double min_factor = 0.1;
-  double max_factor = 10.0;
-};
-
 class CostFeedback {
  public:
-  explicit CostFeedback(CostFeedbackOptions options = CostFeedbackOptions())
-      : options_(options), enabled_(options.enabled) {}
-
   /// The correction family an engine key pools its observations under.
   static std::string Family(const std::string& engine);
 
@@ -89,8 +76,7 @@ class CostFeedback {
   void Reset();
 
  private:
-  CostFeedbackOptions options_;
-  std::atomic<bool> enabled_;
+  std::atomic<bool> enabled_{true};
   mutable std::mutex mu_;
   /// family -> (log correction, observation count); guarded by mu_.
   std::map<std::string, std::pair<double, uint64_t>> state_;

@@ -84,14 +84,6 @@ class Box {
     }
   }
 
-  /// Increase in "margin" (sum of widths) if `p` were added; the R-tree uses
-  /// area enlargement, this is the cheap fallback for degenerate boxes.
-  double Margin() const {
-    double m = 0.0;
-    for (const auto& i : iv_) m += i.width();
-    return m;
-  }
-
   double Area() const {
     double a = 1.0;
     for (const auto& i : iv_) a *= std::max(0.0, i.width());

@@ -7,6 +7,14 @@
 
 namespace rankcube {
 
+namespace {
+
+/// Share of a page each partial signature fills before the next one starts
+/// (α in §4.2.3).
+constexpr double kPartialFill = 0.5;
+
+}  // namespace
+
 Sid SidOfPath(const std::vector<int>& path, size_t len, int M) {
   Sid sid = 0;
   for (size_t i = 0; i < len; ++i) {
@@ -15,17 +23,10 @@ Sid SidOfPath(const std::vector<int>& path, size_t len, int M) {
   return sid;
 }
 
-Signature Signature::FromPaths(const std::vector<std::vector<int>>& paths,
-                               int M) {
-  Signature sig(M);
-  for (const auto& p : paths) sig.SetPath(p);
-  return sig;
-}
-
 void Signature::SetPath(const std::vector<int>& path) {
   Sid sid = 0;
   for (size_t l = 0; l < path.size(); ++l) {
-    BitVector& node = nodes_[sid];
+    BitVector& node = nodes_[sid].bits;
     size_t bit = static_cast<size_t>(path[l] - 1);
     while (node.size() <= bit) node.PushBit(false);
     node.Set(bit, true);
@@ -40,9 +41,10 @@ void Signature::ClearPath(const std::vector<int>& path) {
     Sid sid = SidOfPath(path, len - 1, m_);
     auto it = nodes_.find(sid);
     if (it == nodes_.end()) return;
+    BitVector& node = it->second.bits;
     size_t bit = static_cast<size_t>(path[len - 1] - 1);
-    if (bit < it->second.size()) it->second.Set(bit, false);
-    if (it->second.PopCount() > 0) return;  // still non-empty: stop
+    if (bit < node.size()) node.Set(bit, false);
+    if (node.PopCount() > 0) return;  // still non-empty: stop
     nodes_.erase(it);
   }
 }
@@ -52,125 +54,59 @@ bool Signature::TestPath(const std::vector<int>& path, size_t len) const {
   for (size_t l = 0; l < len; ++l) {
     auto it = nodes_.find(sid);
     if (it == nodes_.end()) return false;
+    const BitVector& node = it->second.bits;
     size_t bit = static_cast<size_t>(path[l] - 1);
-    if (bit >= it->second.size() || !it->second.Get(bit)) return false;
+    if (bit >= node.size() || !node.Get(bit)) return false;
     sid = sid * static_cast<Sid>(m_ + 1) + static_cast<Sid>(path[l]);
   }
   return true;
 }
 
-const BitVector* Signature::Node(Sid sid) const {
-  auto it = nodes_.find(sid);
-  return it == nodes_.end() ? nullptr : &it->second;
-}
-
-Signature Signature::Union(const Signature& a, const Signature& b) {
-  Signature out(a.m_);
-  out.nodes_ = a.nodes_;
-  for (const auto& [sid, bits] : b.nodes_) {
-    BitVector& dst = out.nodes_[sid];
-    while (dst.size() < bits.size()) dst.PushBit(false);
-    for (size_t i = 0; i < bits.size(); ++i) {
-      if (bits.Get(i)) dst.Set(i, true);
-    }
-  }
-  return out;
-}
-
-// Recursive intersection (§4.3.3): a bit survives only if both inputs have
-// it and, when a child node exists beneath it, the child intersection is
-// non-empty.
-bool Signature::IntersectRec(const Signature& a, const Signature& b, Sid sid,
-                             Signature* out) {
-  const int M = a.m_;
-  const BitVector* na = a.Node(sid);
-  const BitVector* nb = b.Node(sid);
-  if (na == nullptr || nb == nullptr) return false;
-  size_t len = std::min(na->size(), nb->size());
-  BitVector bits(len, false);
-  bool any = false;
-  for (size_t i = 0; i < len; ++i) {
-    if (!na->Get(i) || !nb->Get(i)) continue;
-    Sid child = sid * static_cast<Sid>(M + 1) + static_cast<Sid>(i + 1);
-    bool a_has = a.Node(child) != nullptr;
-    bool b_has = b.Node(child) != nullptr;
-    if (a_has || b_has) {
-      if (!IntersectRec(a, b, child, out)) continue;  // empty child
-    }
-    bits.Set(i, true);
-    any = true;
-  }
-  if (!any) return false;
-  out->nodes_[sid] = std::move(bits);
-  return true;
-}
-
-Signature Signature::Intersect(const Signature& a, const Signature& b) {
-  Signature out(a.m_);
-  IntersectRec(a, b, /*sid=*/0, &out);
-  return out;
-}
-
-size_t Signature::BaselineBits() const {
+void Signature::Compress(size_t page_size) {
   // BL string coding (§4.2.1): ceil(log2 M) length bits + the array bits.
-  size_t bits = 0;
-  size_t lb = static_cast<size_t>(Log2Ceil(static_cast<uint64_t>(m_)));
-  for (const auto& [sid, node] : nodes_) {
+  const size_t lb = static_cast<size_t>(Log2Ceil(static_cast<uint64_t>(m_)));
+  baseline_bits_ = 0;
+  compressed_bits_ = 0;
+  for (auto& [sid, node] : nodes_) {
     (void)sid;
-    bits += lb + node.size();
+    baseline_bits_ += lb + node.bits.size();
+    node.partial = SIZE_MAX;
   }
-  return bits;
-}
+  if (nodes_.empty()) return;
 
-StoredSignature StoredSignature::Compress(const Signature& sig,
-                                          size_t page_size, double alpha) {
-  StoredSignature out;
-  out.baseline_bits_ = sig.BaselineBits();
-  if (sig.empty()) return out;
-
-  const size_t budget_bits =
-      std::max<size_t>(64, static_cast<size_t>(alpha * page_size * 8));
-  const int M = sig.M();
+  const size_t budget_bits = std::max<size_t>(
+      64, static_cast<size_t>(kPartialFill * page_size * 8));
 
   // BFS from the root, honoring child (bit) order.
   std::deque<Sid> queue{0};
-  Partial current;
-  current.ref_sid = 0;
-  BitVector blob;
+  size_t partial = 0;
+  size_t partial_bits = 0;
   while (!queue.empty()) {
     Sid sid = queue.front();
     queue.pop_front();
-    const BitVector* node = sig.Node(sid);
-    if (node == nullptr) continue;
-    size_t added = EncodeNodeAdaptive(*node, M, &blob);
-    current.node_sids.push_back(sid);
-    out.owner_[sid] = out.partials_.size();
-    current.bits += added;
-    for (size_t i = 0; i < node->size(); ++i) {
-      if (!node->Get(i)) continue;
-      Sid child = sid * static_cast<Sid>(M + 1) + static_cast<Sid>(i + 1);
-      if (sig.Node(child) != nullptr) queue.push_back(child);
+    auto it = nodes_.find(sid);
+    if (it == nodes_.end()) continue;
+    const BitVector& bits = it->second.bits;
+    BitVector encoded;
+    size_t added = EncodeNodeAdaptive(bits, m_, &encoded);
+    it->second.partial = partial;
+    partial_bits += added;
+    compressed_bits_ += added;
+    for (size_t i = 0; i < bits.size(); ++i) {
+      if (!bits.Get(i)) continue;
+      Sid child = sid * static_cast<Sid>(m_ + 1) + static_cast<Sid>(i + 1);
+      if (nodes_.contains(child)) queue.push_back(child);
     }
-    if (current.bits >= budget_bits) {
-      out.partials_.push_back(std::move(current));
-      current = Partial();
-      current.ref_sid = queue.empty() ? 0 : queue.front();
-      blob = BitVector();
+    if (partial_bits >= budget_bits) {
+      ++partial;
+      partial_bits = 0;
     }
   }
-  if (!current.node_sids.empty()) out.partials_.push_back(std::move(current));
-  return out;
 }
 
-size_t StoredSignature::PartialOf(Sid sid) const {
-  auto it = owner_.find(sid);
-  return it == owner_.end() ? SIZE_MAX : it->second;
-}
-
-size_t StoredSignature::CompressedBytes() const {
-  size_t bits = 0;
-  for (const auto& p : partials_) bits += p.bits;
-  return (bits + 7) / 8;
+size_t Signature::PartialOf(Sid sid) const {
+  auto it = nodes_.find(sid);
+  return it == nodes_.end() ? SIZE_MAX : it->second.partial;
 }
 
 }  // namespace rankcube

@@ -10,11 +10,9 @@ SignatureCube::SignatureCube(const Table& table, IoSession& io,
                              SignatureCubeOptions options)
     : table_(table),
       page_size_(io.page_size()),
-      alpha_(options.alpha),
       lossy_bloom_(options.lossy_bloom),
       bloom_bits_per_entry_(options.bloom_bits_per_entry),
       built_epoch_(table.epoch()) {
-  Stopwatch total;
   uint64_t pages_before = io.TotalPhysical();
 
   // 1. Partition by R-tree over the ranking dimensions (Algorithm 1 line 1).
@@ -61,15 +59,15 @@ SignatureCube::SignatureCube(const Table& table, IoSession& io,
       (void)inserted;
       it->second.SetPath(paths[t]);
     }
-    for (const auto& [cell, sig] : cuboid.sigs) {
-      cuboid.stored[cell] = StoredSignature::Compress(sig, page_size_, alpha_);
+    for (auto& [cell, sig] : cuboid.sigs) {
+      sig.Compress(page_size_);
       if (options.lossy_bloom) {
         // §4.5: bloom over the SIDs whose bits are set. A set bit b of node
         // `sid` corresponds to the child SID sid*(M+1)+b+1.
         std::vector<Sid> present;
-        for (const auto& [sid, bits] : sig.nodes()) {
-          for (size_t b = 0; b < bits.size(); ++b) {
-            if (bits.Get(b)) {
+        for (const auto& [sid, node] : sig.nodes()) {
+          for (size_t b = 0; b < node.bits.size(); ++b) {
+            if (node.bits.Get(b)) {
               present.push_back(sid * static_cast<Sid>(M + 1) +
                                 static_cast<Sid>(b + 1));
             }
@@ -96,7 +94,6 @@ SignatureCube::SignatureCube(const Table& table, IoSession& io,
   io.Access(IoCategory::kSignature, uint64_t{1} << 56, sig_pages);
   construction_pages_ = io.TotalPhysical() - pages_before;
   construction_ms_ = cube_watch.ElapsedMs();
-  (void)total;
 }
 
 const SignatureCuboid* SignatureCube::FindCuboid(
@@ -105,14 +102,6 @@ const SignatureCuboid* SignatureCube::FindCuboid(
   std::sort(sorted.begin(), sorted.end());
   auto it = cuboid_index_.find(sorted);
   return it == cuboid_index_.end() ? nullptr : &cuboids_[it->second];
-}
-
-const Signature* SignatureCube::CellSignature(const std::vector<int>& dims,
-                                              const CellKey& key) const {
-  const SignatureCuboid* c = FindCuboid(dims);
-  if (c == nullptr) return nullptr;
-  auto it = c->sigs.find(key);
-  return it == c->sigs.end() ? nullptr : &it->second;
 }
 
 namespace {
@@ -135,7 +124,7 @@ Result<std::unique_ptr<BooleanPruner>> SignatureCube::MakePruner(
   if (predicates.empty()) {
     return std::unique_ptr<BooleanPruner>(nullptr);
   }
-  std::vector<SignaturePruner::Source> sources;
+  std::vector<const Signature*> sources;
   std::vector<int> qdims;
   for (const auto& p : predicates) qdims.push_back(p.dim);
   std::sort(qdims.begin(), qdims.end());
@@ -151,7 +140,7 @@ Result<std::unique_ptr<BooleanPruner>> SignatureCube::MakePruner(
     if (it == exact->sigs.end()) {
       return std::unique_ptr<BooleanPruner>(new EmptyCellPruner());
     }
-    sources.push_back({&it->second, &exact->stored.at(key)});
+    sources.push_back(&it->second);
   } else {
     for (const auto& p : predicates) {
       const SignatureCuboid* atomic = FindCuboid({p.dim});
@@ -163,7 +152,7 @@ Result<std::unique_ptr<BooleanPruner>> SignatureCube::MakePruner(
       if (it == atomic->sigs.end()) {
         return std::unique_ptr<BooleanPruner>(new EmptyCellPruner());
       }
-      sources.push_back({&it->second, &atomic->stored.at(key)});
+      sources.push_back(&it->second);
     }
   }
   return std::unique_ptr<BooleanPruner>(
@@ -185,32 +174,6 @@ Result<std::vector<ScoredTuple>> SignatureCube::TopK(const TopKQuery& query,
   }
   return RTreeBranchAndBoundTopK(table_, *rtree_, query,
                                  pruner.value().get(), io, stats);
-}
-
-void SignatureCube::RebuildStored(SignatureCuboid* cuboid,
-                                  const CellKey& key) {
-  auto it = cuboid->sigs.find(key);
-  if (it == cuboid->sigs.end() || it->second.empty()) {
-    cuboid->sigs.erase(key);
-    cuboid->stored.erase(key);
-    return;
-  }
-  cuboid->stored[key] =
-      StoredSignature::Compress(it->second, page_size_, alpha_);
-}
-
-void SignatureCube::InsertBatch(const std::vector<Tid>& tids, IoSession* io) {
-  // Algorithm 2. Batch variant: collect R-tree path updates for all inserted
-  // tuples first, then touch each affected cell signature once.
-  std::vector<PathUpdate> updates;
-  std::vector<double> point(table_.num_rank_dims());
-  for (Tid t : tids) {
-    table_.CopyRankRow(t, point.data());
-    auto u = rtree_->Insert(t, point, /*track_updates=*/true);
-    updates.insert(updates.end(), std::make_move_iterator(u.begin()),
-                   std::make_move_iterator(u.end()));
-  }
-  ApplyPathUpdates(updates, io);
 }
 
 void SignatureCube::ApplyPathUpdates(const std::vector<PathUpdate>& updates,
@@ -261,13 +224,9 @@ void SignatureCube::ApplyPathUpdates(const std::vector<PathUpdate>& updates,
       // Charge read of the cell's partial signatures + write-back
       // (io == nullptr = uncharged maintenance, as in ApplyGridDelta).
       if (io != nullptr) {
-        auto stored_it = cuboid.stored.find(cell);
-        uint64_t sig_pages = 1;
-        if (stored_it != cuboid.stored.end()) {
-          sig_pages = std::max<uint64_t>(
-              1, (stored_it->second.CompressedBytes() + page_size_ - 1) /
-                     page_size_);
-        }
+        uint64_t sig_pages = std::max<uint64_t>(
+            1, (sig_it->second.CompressedBytes() + page_size_ - 1) /
+                   page_size_);
         io->Access(IoCategory::kSignature, CellKeyHash{}(cell),
                    2 * sig_pages);  // read + write back
       }
@@ -278,7 +237,11 @@ void SignatureCube::ApplyPathUpdates(const std::vector<PathUpdate>& updates,
       for (const PathUpdate* u : cell_updates) {
         if (!u->new_path.empty()) sig_it->second.SetPath(u->new_path);
       }
-      RebuildStored(&cuboid, cell);
+      if (sig_it->second.empty()) {
+        cuboid.sigs.erase(sig_it);
+      } else {
+        sig_it->second.Compress(page_size_);
+      }
       if (lossy_bloom_) {
         // The §4.5 blooms must never go false-negative: every SID along a
         // set path enters the cell's bloom. Cleared paths stay as stale
@@ -397,9 +360,9 @@ size_t SignatureCube::LossyBloomBytes() const {
 size_t SignatureCube::CompressedBytes() const {
   size_t bytes = 0;
   for (const auto& c : cuboids_) {
-    for (const auto& [cell, stored] : c.stored) {
+    for (const auto& [cell, sig] : c.sigs) {
       (void)cell;
-      bytes += stored.CompressedBytes();
+      bytes += sig.CompressedBytes();
     }
   }
   return bytes;
@@ -408,9 +371,9 @@ size_t SignatureCube::CompressedBytes() const {
 size_t SignatureCube::BaselineBytes() const {
   size_t bytes = 0;
   for (const auto& c : cuboids_) {
-    for (const auto& [cell, stored] : c.stored) {
+    for (const auto& [cell, sig] : c.sigs) {
       (void)cell;
-      bytes += stored.BaselineBytes();
+      bytes += sig.BaselineBytes();
     }
   }
   return bytes;
@@ -421,13 +384,12 @@ size_t SignatureCube::BaselineBytes() const {
 void SignaturePruner::EnsureLoaded(size_t src, const std::vector<int>& path,
                                    size_t len, IoSession* io,
                                    ExecStats* stats) {
-  const StoredSignature* stored = sources_[src].stored;
-  if (stored == nullptr) return;
+  const Signature* sig = sources_[src];
   Stopwatch watch;
-  const int M = sources_[src].sig->M();
+  const int M = sig->M();
   for (size_t l = 0; l <= len; ++l) {
     Sid sid = SidOfPath(path, l, M);
-    size_t partial = stored->PartialOf(sid);
+    size_t partial = sig->PartialOf(sid);
     if (partial == SIZE_MAX) continue;
     auto key = std::make_pair(src, partial);
     if (loaded_.insert(key).second) {
@@ -443,7 +405,7 @@ bool SignaturePruner::MayContain(const std::vector<int>& node_path,
                                  IoSession* io, ExecStats* stats) {
   for (size_t s = 0; s < sources_.size(); ++s) {
     EnsureLoaded(s, node_path, node_path.size(), io, stats);
-    if (!sources_[s].sig->TestPath(node_path)) return false;
+    if (!sources_[s]->TestPath(node_path)) return false;
   }
   return true;
 }

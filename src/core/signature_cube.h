@@ -1,8 +1,9 @@
 // Signature-as-measure ranking cube (Ch4): an R-tree partition shared as
 // template, per-cell signatures (by default one atomic cuboid per boolean
 // dimension, §4.2.4/§4.3.3), node-level compression + partial-signature
-// decomposition, incremental maintenance (Algorithm 2), and Algorithm 3's
-// branch-and-bound query with simultaneous ranking and boolean pruning.
+// decomposition, incremental maintenance (Algorithm 2, through ApplyDelta),
+// and Algorithm 3's branch-and-bound query with simultaneous ranking and
+// boolean pruning.
 #ifndef RANKCUBE_CORE_SIGNATURE_CUBE_H_
 #define RANKCUBE_CORE_SIGNATURE_CUBE_H_
 
@@ -26,7 +27,6 @@ struct SignatureCubeOptions {
   std::vector<std::vector<int>> cuboid_dim_sets;
   bool bulk_load = true;      ///< STR; false = tuple-at-a-time R-tree build
   int rtree_max_entries = 0;  ///< 0 = derive from page size
-  double alpha = 0.5;         ///< partial-signature fill target (§4.2.3)
 
   /// §4.5 lossy compression: additionally build one bloom filter per cell
   /// over the signature's set SIDs. Querying with blooms admits false
@@ -36,11 +36,10 @@ struct SignatureCubeOptions {
   double bloom_bits_per_entry = 10.0;  ///< ~1% false-positive rate
 };
 
-/// One cuboid's signatures: cell values -> signature (logical + stored).
+/// One cuboid's signatures: cell values -> signature.
 struct SignatureCuboid {
   std::vector<int> dims;
   std::unordered_map<CellKey, Signature, CellKeyHash> sigs;
-  std::unordered_map<CellKey, StoredSignature, CellKeyHash> stored;
   std::unordered_map<CellKey, BloomFilter, CellKeyHash> blooms;  ///< §4.5
 };
 
@@ -62,13 +61,10 @@ class SignatureCube {
   Result<std::unique_ptr<BooleanPruner>> MakePruner(
       const std::vector<Predicate>& predicates) const;
 
-  /// Incremental maintenance (Algorithm 2) for tuples already appended to
-  /// the table; updates the R-tree and all affected cell signatures.
-  void InsertBatch(const std::vector<Tid>& tids, IoSession* io);
-
   /// Absorbs the table mutations after built_epoch(): inserts through the
   /// R-tree + signature path (Algorithm 2), deletes through lazy R-tree
-  /// removal with §4.2.5 bit clearing. Empty delta is a no-op.
+  /// removal with §4.2.5 bit clearing. Each touched cell's signature is
+  /// re-compressed whole. Empty delta is a no-op.
   Status ApplyDelta(const DeltaStore& delta, IoSession* io);
   /// Table epoch this cube's contents reflect.
   uint64_t built_epoch() const { return built_epoch_; }
@@ -78,10 +74,6 @@ class SignatureCube {
   /// All materialized signature cuboids (dimension sets + cell counts) —
   /// the statistics the planner's cost model reads.
   const std::vector<SignatureCuboid>& cuboids() const { return cuboids_; }
-
-  /// Signature of one cell (nullptr = no tuple has this value).
-  const Signature* CellSignature(const std::vector<int>& dims,
-                                 const CellKey& key) const;
 
   double construction_ms() const { return construction_ms_; }
   double rtree_build_ms() const { return rtree_build_ms_; }
@@ -99,16 +91,13 @@ class SignatureCube {
                                              ExecStats* stats) const;
 
  private:
-  friend class SignaturePruner;
   const SignatureCuboid* FindCuboid(const std::vector<int>& dims) const;
-  void RebuildStored(SignatureCuboid* cuboid, const CellKey& key);
   /// Applies R-tree path updates to every affected cell signature, one
-  /// grouped pass per cuboid (shared by InsertBatch and ApplyDelta).
+  /// grouped pass per cuboid.
   void ApplyPathUpdates(const std::vector<PathUpdate>& updates, IoSession* io);
 
   const Table& table_;
   size_t page_size_;
-  double alpha_;
   bool lossy_bloom_ = false;
   double bloom_bits_per_entry_ = 10.0;
   uint64_t built_epoch_ = 0;
@@ -126,13 +115,8 @@ class SignatureCube {
 /// for multi-predicate queries, §4.3.3). Charges partial-signature loads.
 class SignaturePruner : public BooleanPruner {
  public:
-  /// Each element: (signature, stored form). All must pass for a path.
-  struct Source {
-    const Signature* sig;
-    const StoredSignature* stored;
-  };
-
-  explicit SignaturePruner(std::vector<Source> sources)
+  /// All source signatures must pass for a path.
+  explicit SignaturePruner(std::vector<const Signature*> sources)
       : sources_(std::move(sources)) {}
 
   bool MayContain(const std::vector<int>& node_path, IoSession* io,
@@ -144,7 +128,7 @@ class SignaturePruner : public BooleanPruner {
   void EnsureLoaded(size_t src, const std::vector<int>& path, size_t len,
                     IoSession* io, ExecStats* stats);
 
-  std::vector<Source> sources_;
+  std::vector<const Signature*> sources_;
   std::set<std::pair<size_t, size_t>> loaded_;  ///< (source, partial) pairs
 };
 

@@ -1,7 +1,5 @@
 #include "cube/cell.h"
 
-#include <sstream>
-
 namespace rankcube {
 
 bool ProjectPredicates(const std::vector<Predicate>& predicates,
@@ -21,17 +19,6 @@ bool ProjectPredicates(const std::vector<Predicate>& predicates,
     if (!found) return false;
   }
   return true;
-}
-
-std::string CellToString(const std::vector<int>& dims, const CellKey& key) {
-  std::ostringstream os;
-  for (size_t i = 0; i < dims.size(); ++i) {
-    if (i) os << ",";
-    os << "A" << dims[i] << "="
-       << (i < key.values.size() ? key.values[i] : -1);
-  }
-  os << "@p" << key.pid;
-  return os.str();
 }
 
 }  // namespace rankcube

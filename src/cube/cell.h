@@ -39,9 +39,6 @@ bool ProjectPredicates(const std::vector<Predicate>& predicates,
                        const std::vector<int>& dims,
                        std::vector<int32_t>* values);
 
-/// Pretty cell name for diagnostics, e.g. "A0=3,A2=7@p12".
-std::string CellToString(const std::vector<int>& dims, const CellKey& key);
-
 /// Hash over a sorted dimension set; keys the cuboid lookup maps of the
 /// grid cube, the ranking fragments, and the signature cube.
 struct DimSetHash {

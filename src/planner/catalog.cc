@@ -17,15 +17,6 @@ TableStats TableStats::Compute(const Table& table, size_t page_size) {
 
   ts.epoch = table.epoch();
   ts.delta = &table.delta();
-  std::vector<Tid> inserted, deleted;
-  table.delta().ChangesSince(table.delta().compacted_epoch(), &inserted,
-                             &deleted);
-  ts.delta_rows = inserted.size();
-  ts.deleted_since_compact = deleted.size();
-  if (!inserted.empty()) {
-    ts.delta_first_row = inserted.front();
-    ts.delta_pages = table.TailPages(ts.delta_first_row, page_size);
-  }
 
   ts.value_counts.resize(ts.num_sel_dims);
   for (int d = 0; d < ts.num_sel_dims; ++d) {
@@ -42,16 +33,12 @@ void TableStats::ApplyInsert(const Table& table, Tid tid) {
   ++num_rows;
   for (int d = 0; d < num_sel_dims; ++d) ++value_counts[d][table.sel(tid, d)];
   table_pages = table.NumPages(page_size);
-  if (delta_rows == 0) delta_first_row = tid;
-  ++delta_rows;
-  delta_pages = table.TailPages(delta_first_row, page_size);
   epoch = table.epoch();
 }
 
 void TableStats::ApplyDelete(const Table& table, Tid tid) {
   --num_rows;
   for (int d = 0; d < num_sel_dims; ++d) --value_counts[d][table.sel(tid, d)];
-  ++deleted_since_compact;
   epoch = table.epoch();
 }
 

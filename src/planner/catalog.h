@@ -38,18 +38,12 @@ struct TableStats {
   uint64_t table_pages = 0;
 
   // --- delta state (drives the planner's staleness pricing) --------------
-  uint64_t epoch = 0;        ///< table epoch at this snapshot
-  uint64_t delta_rows = 0;   ///< rows appended since the last compaction
-  uint64_t delta_pages = 0;  ///< heap pages of that appended tail
-  uint64_t deleted_since_compact = 0;  ///< tombstones since last compaction
-  Tid delta_first_row = 0;   ///< tail start; meaningful when delta_rows > 0
+  uint64_t epoch = 0;  ///< table epoch at this snapshot
   /// The table's live mutation log, for pricing staleness *per structure*
   /// (a structure built or maintained mid-log owes only the suffix after
-  /// its own built_epoch, not everything since compaction). Not owned;
-  /// valid while the source Table is alive and unmoved — RankCubeDb owns
-  /// both and recomputes stats on compaction. Null for a stats value
-  /// detached from its table; the cost model then falls back to the
-  /// since-compaction aggregates above.
+  /// its own built_epoch). Set by Compute; not owned; valid while the
+  /// source Table is alive and unmoved — RankCubeDb owns both and
+  /// recomputes stats on compaction.
   const DeltaStore* delta = nullptr;
 
   /// value_counts[dim][value] = number of live rows with sel(dim) == value.
@@ -64,13 +58,8 @@ struct TableStats {
   /// assumption (per-predicate factors are exact, their product is not).
   double Selectivity(const std::vector<Predicate>& predicates) const;
 
-  /// Expected number of matching rows for the conjunction.
-  double MatchEstimate(const std::vector<Predicate>& predicates) const {
-    return static_cast<double>(num_rows) * Selectivity(predicates);
-  }
-
   /// Exact incremental adjustments for one mutation (RankCubeDb's write
-  /// path; the heap geometry and delta tail are re-derived from the table).
+  /// path; the heap geometry is re-derived from the table).
   void ApplyInsert(const Table& table, Tid tid);
   void ApplyDelete(const Table& table, Tid tid);
 };

@@ -392,37 +392,29 @@ CostEstimate EstimateCost(const AccessStructureInfo& info,
   //
   // What a structure owes is the log suffix after its *own* built_epoch —
   // one built (or maintained) mid-log must not be billed everything since
-  // compaction. Exact when the stats carry the live log; the
-  // since-compaction aggregates are the (conservative) fallback.
+  // compaction.
   const bool stale = info.built && info.engine != "table_scan" &&
                      ts.epoch > info.built_epoch;
   if (!stale) return DispatchCost(info, query, ts);
 
-  uint64_t pending_inserts = ts.delta_rows;
-  uint64_t pending_deletes = ts.deleted_since_compact;
-  double overlay_pages = static_cast<double>(ts.delta_pages);
-  if (ts.delta != nullptr) {
-    DeltaStore::PendingSummary pending = ts.delta->Pending(info.built_epoch);
-    pending_inserts = pending.inserts;
-    pending_deletes = pending.deletes;
-    overlay_pages =
-        pending.has_insert
-            ? static_cast<double>(
-                  ts.table_pages -
-                  pending.first_insert / std::max<size_t>(1, ts.rows_per_page))
-            : 0.0;
-  }
-  if (pending_inserts == 0 && pending_deletes == 0) {
+  DeltaStore::PendingSummary pending = ts.delta->Pending(info.built_epoch);
+  if (pending.inserts == 0 && pending.deletes == 0) {
     return DispatchCost(info, query, ts);
   }
+  double overlay_pages =
+      pending.has_insert
+          ? static_cast<double>(
+                ts.table_pages -
+                pending.first_insert / std::max<size_t>(1, ts.rows_per_page))
+          : 0.0;
 
   TopKQuery effective = query;
   effective.k = query.k + static_cast<int>(
-                              std::min<uint64_t>(pending_deletes, 1u << 20));
+                              std::min<uint64_t>(pending.deletes, 1u << 20));
   est = DispatchCost(info, effective, ts);
   if (!est.feasible) return est;
   est.pages += overlay_pages;
-  est.tuples += static_cast<double>(pending_inserts);
+  est.tuples += static_cast<double>(pending.inserts);
   return est;
 }
 

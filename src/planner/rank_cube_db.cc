@@ -59,7 +59,6 @@ RankCubeDb::RankCubeDb(Table table, Options options)
       stats_(TableStats::Compute(table_, store_.page_size())),
       options_(std::move(options)),
       cache_(options_.cache),
-      feedback_(options_.feedback),
       build_io_(&store_) {
   std::vector<std::string> names = options_.engines.empty()
                                        ? EngineRegistry::Global().Keys()

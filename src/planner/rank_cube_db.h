@@ -140,10 +140,6 @@ class RankCubeDb {
     /// default (max_bytes == 0): existing callers keep the exact page
     /// accounting of the uncached path; rankcubed opts in via --cache_mb.
     ResultCacheOptions cache;
-    /// True-cost planner feedback (cache/feedback.h); on by default —
-    /// corrections start at 1.0, so routing is unchanged until measured
-    /// I/O says otherwise.
-    CostFeedbackOptions feedback;
   };
 
   /// Takes ownership of `table`; computes TableStats (one in-memory pass)

@@ -155,6 +155,43 @@ TEST(CodecTest, EmptyAndFullArrays) {
   }
 }
 
+// A node cut short anywhere (in its header, its length field or its coding
+// region) is malformed: DecodeNode must say so with kCorruption instead of
+// reading past the end of the stream.
+TEST(CodecTest, EveryProperPrefixIsCorruption) {
+  static constexpr CodecScheme kAll[] = {
+      CodecScheme::kBaseline, CodecScheme::kPiSparse, CodecScheme::kPiDense,
+      CodecScheme::kRlSparse, CodecScheme::kRlDense,  CodecScheme::kPcSparse,
+      CodecScheme::kPcDense,
+  };
+  Rng rng(29);
+  for (int M : {4, 32, 204}) {
+    for (uint64_t density_pct : {10, 50, 90}) {
+      BitVector arr(static_cast<size_t>(M), false);
+      for (size_t i = 0; i < arr.size(); ++i) {
+        if (rng.UniformInt(100) < density_pct) arr.Set(i, true);
+      }
+      std::vector<BitVector> encodings(1);
+      EncodeNodeAdaptive(arr, M, &encodings[0]);
+      for (CodecScheme s : kAll) {
+        encodings.emplace_back();
+        EncodeNodeWith(arr, M, s, &encodings.back());
+      }
+      for (const BitVector& full : encodings) {
+        BitVector prefix;
+        for (size_t len = 0; len < full.size(); ++len) {
+          BitReader reader(prefix);
+          BitVector decoded;
+          EXPECT_EQ(DecodeNode(&reader, M, &decoded).code(),
+                    Status::Code::kCorruption)
+              << "M=" << M << " prefix " << len << " of " << full.ToString();
+          prefix.PushBit(full.Get(len));
+        }
+      }
+    }
+  }
+}
+
 TEST(BloomTest, NoFalseNegatives) {
   BloomFilter bf(1024, 4);
   for (uint64_t k = 0; k < 100; ++k) bf.Insert(k * 977);

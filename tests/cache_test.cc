@@ -720,9 +720,9 @@ TEST(FeedbackTest, EwmaConvergesToTheMeasuredBias) {
 TEST(FeedbackTest, OutliersAreClampedAndDisableIsAnIdentity) {
   CostFeedback fb;
   for (int i = 0; i < 200; ++i) fb.Observe("table_scan", 1.0, 1e9);
-  EXPECT_LE(fb.Correction("table_scan"), 10.0);  // max_factor clamp
+  EXPECT_LE(fb.Correction("table_scan"), 10.0);  // upper clamp
   for (int i = 0; i < 200; ++i) fb.Observe("signature", 1e9, 1.0);
-  EXPECT_GE(fb.Correction("signature"), 0.1);  // min_factor clamp
+  EXPECT_GE(fb.Correction("signature"), 0.1);  // lower clamp
 
   double learned = fb.Correction("table_scan");
   fb.set_enabled(false);

@@ -111,7 +111,8 @@ TEST(SignatureCubeTest, IncrementalInsertMatchesRebuild) {
   Table t = GenerateSynthetic(spec);
 
   // Build cube over the first 2500 rows' paths by constructing from a
-  // prefix table, then inserting the remaining rows incrementally.
+  // prefix table, then inserting the remaining rows incrementally and
+  // absorbing them in one ApplyDelta batch.
   TableSchema schema = t.schema();
   Table prefix(schema);
   std::vector<double> rank(t.num_rank_dims());
@@ -126,14 +127,12 @@ TEST(SignatureCubeTest, IncrementalInsertMatchesRebuild) {
   opt.bulk_load = false;
   SignatureCube cube(prefix, io, opt);
 
-  std::vector<Tid> extra;
   for (Tid i = 2500; i < 3000; ++i) {
     t.CopyRankRow(i, rank.data());
-    ASSERT_TRUE(prefix.AddRow({t.sel(i, 0), t.sel(i, 1), t.sel(i, 2)}, rank)
+    ASSERT_TRUE(prefix.Insert({t.sel(i, 0), t.sel(i, 1), t.sel(i, 2)}, rank)
                     .ok());
-    extra.push_back(i);
   }
-  cube.InsertBatch(extra, &io);
+  ASSERT_TRUE(cube.ApplyDelta(prefix.delta(), &io).ok());
 
   QueryWorkloadSpec qspec;
   qspec.num_queries = 15;
@@ -163,7 +162,7 @@ TEST(SignatureCubeTest, LeafSplitsNeverLoseRowsUnderIncrementalInsert) {
   Table t(schema);
   Rng rng(13);
   auto add_row = [&] {
-    ASSERT_TRUE(t.AddRow({static_cast<int32_t>(rng.UniformInt(2)),
+    ASSERT_TRUE(t.Insert({static_cast<int32_t>(rng.UniformInt(2)),
                           static_cast<int32_t>(rng.UniformInt(2))},
                          {rng.Uniform01(), rng.Uniform01()})
                     .ok());
@@ -182,7 +181,7 @@ TEST(SignatureCubeTest, LeafSplitsNeverLoseRowsUnderIncrementalInsert) {
   probe.function = std::make_shared<LinearFunction>(std::vector<double>{1, 2});
   for (int i = 0; i < 120; ++i) {
     add_row();
-    cube.InsertBatch({static_cast<Tid>(t.num_rows() - 1)}, &io);
+    ASSERT_TRUE(cube.ApplyDelta(t.delta(), &io).ok());
     for (int32_t v = 0; v < 2; ++v) {
       probe.predicates = {{0, v}};
       ExecStats stats;
@@ -220,6 +219,64 @@ TEST(SignatureCubeTest, CompressedSmallerThanBaseline) {
   SignatureCube cube(t, io);
   EXPECT_GT(cube.CompressedBytes(), 0u);
   EXPECT_LT(cube.CompressedBytes(), cube.BaselineBytes());
+}
+
+// Pins the signature measure's accounting on a fixed relation: the
+// compressed and baseline sizes, the charged pages and partial-signature
+// loads of queries on the exact-cell path ({0,1} and {1} have cuboids) and
+// on the online-assembly path ({0,2} and {0,1,2} AND atomic cells), and the
+// same after a write batch that ApplyDelta absorbs. 512-byte pages give
+// every large cell several partials. A change to the signature's
+// representation must reproduce every figure here.
+TEST(SignatureCubeTest, AccountingIsPinnedOnAFixedRelation) {
+  Table t = MakeData(5000, 3, 8, 2, 41);
+  PageStore store(PageStore::Options{.page_size = 512});
+  IoSession build_io{&store};
+  SignatureCubeOptions opt;
+  opt.cuboid_dim_sets = {{0}, {1}, {2}, {0, 1}};
+  SignatureCube cube(t, build_io, opt);
+
+  using Charges = std::vector<std::pair<uint64_t, uint64_t>>;
+  auto run = [&] {
+    const std::vector<std::vector<Predicate>> workload = {
+        {{0, 3}, {1, 5}}, {{1, 4}}, {{0, 1}, {2, 6}}, {{0, 2}, {1, 2}, {2, 0}}};
+    Charges out;  // (pages charged, partial signatures loaded) per query
+    for (const auto& preds : workload) {
+      TopKQuery q;
+      q.predicates = preds;
+      q.function = std::make_shared<LinearFunction>(std::vector<double>{1, 3});
+      q.k = 10;
+      IoSession io{&store};
+      ExecStats stats;
+      auto res = cube.TopK(q, &io, &stats);
+      EXPECT_TRUE(res.ok()) << res.status().ToString();
+      if (res.ok()) {
+        EXPECT_EQ(ScoresOf(*res), ScoresOf(BruteForceTopK(t, q)));
+      }
+      out.emplace_back(io.TotalPhysical(), stats.signature_pages);
+    }
+    return out;
+  };
+  EXPECT_EQ(cube.construction_pages(), 905u);
+  EXPECT_EQ(cube.CompressedBytes(), 23835u);
+  EXPECT_EQ(cube.BaselineBytes(), 26325u);
+  EXPECT_EQ(run(), (Charges{{21, 1}, {10, 1}, {44, 4}, {195, 9}}));
+
+  Rng rng(5);
+  for (int i = 0; i < 60; ++i) {
+    ASSERT_TRUE(t.Insert({static_cast<int32_t>(rng.UniformInt(8)),
+                          static_cast<int32_t>(rng.UniformInt(8)),
+                          static_cast<int32_t>(rng.UniformInt(8))},
+                         {rng.Uniform01(), rng.Uniform01()})
+                    .ok());
+  }
+  for (Tid tid = 0; tid < 1000; tid += 25) ASSERT_TRUE(t.Delete(tid).ok());
+  IoSession maintain_io{&store};
+  ASSERT_TRUE(cube.ApplyDelta(t.delta(), &maintain_io).ok());
+  EXPECT_EQ(maintain_io.TotalPhysical(), 406u);
+  EXPECT_EQ(cube.CompressedBytes(), 25579u);
+  EXPECT_EQ(cube.BaselineBytes(), 26923u);
+  EXPECT_EQ(run(), (Charges{{23, 1}, {12, 3}, {49, 6}, {211, 9}}));
 }
 
 TEST(SignatureCubeTest, SignaturePagesAreCounted) {

@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/rng.h"
 #include "core/signature.h"
 
@@ -28,7 +30,9 @@ TEST(SidTest, PaperExample) {
 
 TEST(SignatureTest, A1SignatureFromFigure43) {
   // (A = a1) covers t1 <1,1,1> and t3 <1,2,1>.
-  Signature sig = Signature::FromPaths({kPaths[0], kPaths[2]}, 2);
+  Signature sig(2);
+  sig.SetPath(kPaths[0]);
+  sig.SetPath(kPaths[2]);
   // Root: left child only.
   EXPECT_TRUE(sig.TestPath({1}, 1));
   EXPECT_FALSE(sig.TestPath({2}, 1));
@@ -42,31 +46,10 @@ TEST(SignatureTest, A1SignatureFromFigure43) {
   EXPECT_FALSE(sig.TestPath({1, 2, 2}));
 }
 
-TEST(SignatureTest, UnionExampleFigure47) {
-  // (A=a2): t2 <1,1,2>, t6 <2,1,2>.  (B=b2): t2 <1,1,2>, t7 <2,2,1>.
-  Signature a2 = Signature::FromPaths({kPaths[1], kPaths[5]}, 2);
-  Signature b2 = Signature::FromPaths({kPaths[1], kPaths[6]}, 2);
-  Signature u = Signature::Union(a2, b2);
-  EXPECT_TRUE(u.TestPath({1, 1, 2}));  // t2
-  EXPECT_TRUE(u.TestPath({2, 1, 2}));  // t6
-  EXPECT_TRUE(u.TestPath({2, 2, 1}));  // t7
-  EXPECT_FALSE(u.TestPath({1, 1, 1}));
-}
-
-TEST(SignatureTest, IntersectExampleFigure47) {
-  // (A=a2 and B=b2) contains only t2.
-  Signature a2 = Signature::FromPaths({kPaths[1], kPaths[5]}, 2);
-  Signature b2 = Signature::FromPaths({kPaths[1], kPaths[6]}, 2);
-  Signature i = Signature::Intersect(a2, b2);
-  EXPECT_TRUE(i.TestPath({1, 1, 2}));   // t2 survives
-  EXPECT_FALSE(i.TestPath({2, 1, 2}));  // t6 gone
-  EXPECT_FALSE(i.TestPath({2, 2, 1}));  // t7 gone
-  // The recursive rule also cleared the now-empty N2 branch entirely.
-  EXPECT_FALSE(i.TestPath({2}, 1));
-}
-
 TEST(SignatureTest, ClearPathPropagatesEmptiness) {
-  Signature sig = Signature::FromPaths({{1, 1, 1}, {1, 2, 1}}, 2);
+  Signature sig(2);
+  sig.SetPath({1, 1, 1});
+  sig.SetPath({1, 2, 1});
   sig.ClearPath({1, 1, 1});
   EXPECT_FALSE(sig.TestPath({1, 1, 1}));
   EXPECT_FALSE(sig.TestPath({1, 1}, 2));  // N3 branch emptied
@@ -86,7 +69,8 @@ TEST(SignatureTest, SetPathAfterClearRestores) {
 }
 
 TEST(SignatureTest, TestPathPrefixSemantics) {
-  Signature sig = Signature::FromPaths({{1, 2, 1}}, 2);
+  Signature sig(2);
+  sig.SetPath({1, 2, 1});
   EXPECT_TRUE(sig.TestPath({1, 2, 1}, 0));  // empty prefix: trivially true
   EXPECT_TRUE(sig.TestPath({1, 2, 1}, 1));
   EXPECT_TRUE(sig.TestPath({1, 2, 1}, 2));
@@ -94,49 +78,57 @@ TEST(SignatureTest, TestPathPrefixSemantics) {
   EXPECT_FALSE(sig.TestPath({1, 1, 1}, 2));
 }
 
-TEST(StoredSignatureTest, CompressionRoundTripAccounting) {
+// Partials a compressed signature is cut into (indices are dense from 0).
+size_t NumPartials(const Signature& sig) {
+  size_t n = 0;
+  for (const auto& [sid, node] : sig.nodes()) {
+    (void)sid;
+    n = std::max(n, node.partial + 1);
+  }
+  return n;
+}
+
+TEST(SignatureTest, CompressionAccounting) {
   // Larger fanout: build from many random-ish paths.
   const int M = 32;
-  std::vector<std::vector<int>> paths;
+  Signature sig(M);
   for (int i = 0; i < 500; ++i) {
-    paths.push_back({1 + (i * 7) % M, 1 + (i * 13) % M, 1 + i % M});
+    sig.SetPath({1 + (i * 7) % M, 1 + (i * 13) % M, 1 + i % M});
   }
-  Signature sig = Signature::FromPaths(paths, M);
-  StoredSignature stored = StoredSignature::Compress(sig, 4096, 0.5);
-  EXPECT_GT(stored.partials().size(), 0u);
-  EXPECT_GT(stored.CompressedBytes(), 0u);
-  EXPECT_LE(stored.CompressedBytes(), stored.BaselineBytes());
-  // Every node is owned by exactly one partial.
-  size_t owned = 0;
-  for (const auto& p : stored.partials()) owned += p.node_sids.size();
-  EXPECT_EQ(owned, sig.num_nodes());
-  for (const auto& [sid, bits] : sig.nodes()) {
-    (void)bits;
-    EXPECT_NE(stored.PartialOf(sid), SIZE_MAX);
+  sig.Compress(4096);
+  EXPECT_GT(NumPartials(sig), 0u);
+  EXPECT_GT(sig.CompressedBytes(), 0u);
+  EXPECT_LE(sig.CompressedBytes(), sig.BaselineBytes());
+  // Every node is stored in exactly one partial.
+  for (const auto& [sid, node] : sig.nodes()) {
+    EXPECT_NE(sig.PartialOf(sid), SIZE_MAX);
+    EXPECT_EQ(sig.PartialOf(sid), node.partial);
   }
 }
 
-TEST(StoredSignatureTest, SmallAlphaMakesMorePartials) {
+TEST(SignatureTest, SmallPagesMakeMorePartials) {
   const int M = 16;
   Rng rng(17);
-  std::vector<std::vector<int>> paths;
+  Signature sig(M);
   for (int i = 0; i < 4000; ++i) {
-    paths.push_back({static_cast<int>(rng.UniformInt(M)) + 1,
-                     static_cast<int>(rng.UniformInt(M)) + 1,
-                     static_cast<int>(rng.UniformInt(M)) + 1});
+    sig.SetPath({static_cast<int>(rng.UniformInt(M)) + 1,
+                 static_cast<int>(rng.UniformInt(M)) + 1,
+                 static_cast<int>(rng.UniformInt(M)) + 1});
   }
-  Signature sig = Signature::FromPaths(paths, M);
-  StoredSignature big = StoredSignature::Compress(sig, 4096, 0.9);
-  StoredSignature small = StoredSignature::Compress(sig, 4096, 0.02);
-  EXPECT_GT(small.partials().size(), big.partials().size());
+  sig.Compress(8192);
+  size_t big = NumPartials(sig);
+  size_t bytes = sig.CompressedBytes();
+  sig.Compress(128);
+  EXPECT_GT(NumPartials(sig), big);
+  EXPECT_EQ(sig.CompressedBytes(), bytes);  // the cut moves, the codes don't
 }
 
-TEST(StoredSignatureTest, EmptySignature) {
+TEST(SignatureTest, EmptySignatureCompressesToNothing) {
   Signature sig(8);
-  StoredSignature stored = StoredSignature::Compress(sig, 4096);
-  EXPECT_TRUE(stored.partials().empty());
-  EXPECT_EQ(stored.CompressedBytes(), 0u);
-  EXPECT_EQ(stored.PartialOf(0), SIZE_MAX);
+  sig.Compress(4096);
+  EXPECT_EQ(NumPartials(sig), 0u);
+  EXPECT_EQ(sig.CompressedBytes(), 0u);
+  EXPECT_EQ(sig.PartialOf(0), SIZE_MAX);
 }
 
 }  // namespace
