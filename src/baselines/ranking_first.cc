@@ -2,35 +2,6 @@
 
 namespace rankcube {
 
-namespace {
-
-/// Verifies boolean predicates by fetching the tuple from the base table
-/// (random access, charged), exactly the "Ranking" configuration of §4.4.1.
-class TableVerifyPruner : public BooleanPruner {
- public:
-  TableVerifyPruner(const Table& table, const std::vector<Predicate>& preds)
-      : table_(table), preds_(preds) {}
-
-  bool MayContain(const std::vector<int>&, IoSession*, ExecStats*) override {
-    return true;  // no pre-computed boolean knowledge
-  }
-
-  bool Qualifies(Tid tid, const std::vector<int>&, IoSession* io,
-                 ExecStats*) override {
-    table_.ChargeRowFetch(io, tid);
-    for (const auto& p : preds_) {
-      if (table_.sel(tid, p.dim) != p.value) return false;
-    }
-    return true;
-  }
-
- private:
-  const Table& table_;
-  const std::vector<Predicate>& preds_;
-};
-
-}  // namespace
-
 Result<std::vector<ScoredTuple>> RankingFirst::TopK(const TopKQuery& query,
                                                     IoSession* io,
                                                     ExecStats* stats) const {

@@ -5,68 +5,105 @@
 //  * the ranking-first baseline (node pruner = accept-all; tuples verified
 //    against the base table with random accesses),
 //  * Ch6's rank-aware selection (progressive variant in join/).
+//
+// Candidates are addressed by SID (§4.2.1), the base-(M+1) number of their
+// 1-based path from the root: the root is 0, the child at position p of
+// node s is s*(M+1)+p, and a tuple's SID extends its leaf's by the entry's
+// position. A candidate is a plain struct; no path is copied per push.
 #ifndef RANKCUBE_CORE_RTREE_SEARCH_H_
 #define RANKCUBE_CORE_RTREE_SEARCH_H_
 
+#include <queue>
 #include <vector>
 
+#include "core/signature.h"
 #include "core/topk_query.h"
 #include "func/kernels/kernels.h"
 #include "index/rtree.h"
 
 namespace rankcube {
 
-/// Boolean-pruning hook for Algorithm 3. Paths are 1-based entry positions;
-/// tuple paths include the leaf entry position.
+/// Boolean-pruning hook for Algorithm 3, called with SIDs.
 class BooleanPruner {
  public:
   virtual ~BooleanPruner() = default;
 
-  /// May the subtree rooted at `path` contain a qualifying tuple?
+  /// May the subtree of node `sid` contain a qualifying tuple?
   /// (false => prune; must never produce false negatives).
-  virtual bool MayContain(const std::vector<int>& node_path, IoSession* io,
-                          ExecStats* stats) = 0;
+  virtual bool MayContain(Sid sid, IoSession* io, ExecStats* stats) = 0;
 
-  /// Does the tuple at `tuple_path` qualify? Exact.
-  virtual bool Qualifies(Tid tid, const std::vector<int>& tuple_path,
-                         IoSession* io, ExecStats* stats) = 0;
+  /// Does tuple `tid`, whose leaf-entry SID is `sid`, qualify? Exact.
+  virtual bool Qualifies(Tid tid, Sid sid, IoSession* io,
+                         ExecStats* stats) = 0;
 };
 
 /// Accept-all pruner (no boolean predicates).
 class NullPruner : public BooleanPruner {
  public:
-  bool MayContain(const std::vector<int>&, IoSession*, ExecStats*) override {
-    return true;
-  }
-  bool Qualifies(Tid, const std::vector<int>&, IoSession*, ExecStats*) override {
-    return true;
-  }
+  bool MayContain(Sid, IoSession*, ExecStats*) override { return true; }
+  bool Qualifies(Tid, Sid, IoSession*, ExecStats*) override { return true; }
 };
 
-/// Scores every entry of an R-tree leaf through a per-query fused
-/// BlockEvaluator (entries are exact copies of the table's ranking rows, so
-/// the evaluator reads the columns directly), filling the parallel
-/// tids/scores arrays and charging stats->tuples_evaluated. Shared by the
-/// branch-and-bound search and the progressive ranked stream so the two
-/// leaf paths cannot diverge. The evaluator is resolved once per query, not
-/// per leaf.
-inline void ScoreLeafEntries(const kernels::BlockEvaluator& eval,
-                             const RTreeNode& node, std::vector<Tid>* tids,
-                             std::vector<double>* scores, ExecStats* stats) {
-  tids->resize(node.entries.size());
-  for (size_t i = 0; i < node.entries.size(); ++i) {
-    (*tids)[i] = node.entries[i].tid;
-  }
-  scores->resize(tids->size());
-  if (!tids->empty()) eval.Score(tids->data(), tids->size(), scores->data());
-  stats->tuples_evaluated += tids->size();
-}
+/// Accepts every node and verifies each candidate tuple's predicates by
+/// fetching it from the base table (random access, charged): the "Ranking"
+/// configuration of §4.4.1 and of the Ch7 skyline. Keeps a reference to
+/// `preds`, which must outlive the pruner.
+class TableVerifyPruner : public BooleanPruner {
+ public:
+  TableVerifyPruner(const Table& table, const std::vector<Predicate>& preds)
+      : table_(table), preds_(preds) {}
+
+  bool MayContain(Sid, IoSession*, ExecStats*) override { return true; }
+  bool Qualifies(Tid tid, Sid, IoSession* io, ExecStats*) override;
+
+ private:
+  const Table& table_;
+  const std::vector<Predicate>& preds_;
+};
+
+/// A candidate of a best-first R-tree search: a node keyed by its
+/// ranking-function lower bound, or a tuple keyed by its exact score.
+struct SearchEntry {
+  double score;
+  Sid sid;
+  uint32_t id;  ///< node id, or the tuple's tid
+  bool is_tuple;
+
+  bool operator>(const SearchEntry& o) const { return score > o.score; }
+};
+
+/// The candidate heap of a best-first R-tree search, seeded with the root.
+/// Algorithm 3 and the progressive ranked stream share it, so their node
+/// expansion cannot diverge. `table` is the relation the R-tree indexes:
+/// leaf entries are exact copies of its ranking rows, so a whole leaf is
+/// scored with one kernels::BlockEvaluator call resolved once per search.
+class BestFirstHeap {
+ public:
+  BestFirstHeap(const Table& table, const RTree& rtree,
+                const RankingFunction& f);
+
+  bool empty() const { return heap_.empty(); }
+  const SearchEntry& top() const { return heap_.top(); }
+  void pop() { heap_.pop(); }
+
+  /// Expands node entry `e`, which the pruner admitted: charges the node
+  /// access, then pushes a leaf's entries with their exact scores (a tuple
+  /// is qualified only when popped) or an internal node's children with
+  /// their MBR lower bounds, and records the heap peak in `stats`.
+  void Expand(const SearchEntry& e, IoSession* io, ExecStats* stats);
+
+ private:
+  const RTree& rtree_;
+  const RankingFunction& f_;
+  kernels::BlockEvaluator eval_;
+  std::priority_queue<SearchEntry, std::vector<SearchEntry>, std::greater<>>
+      heap_;
+  std::vector<Tid> leaf_tids_;  ///< leaf scoring scratch
+  std::vector<double> leaf_scores_;
+};
 
 /// Algorithm 3: progressive best-first search; halts when the k-th result
-/// score is no worse than the best possible unseen score. `table` is the
-/// relation the R-tree indexes: leaf entries are exact copies of its
-/// ranking rows, so a whole leaf is scored with one
-/// kernels::BlockEvaluator call instead of a scalar Evaluate per entry.
+/// score is no worse than the best possible unseen score.
 std::vector<ScoredTuple> RTreeBranchAndBoundTopK(const Table& table,
                                                  const RTree& rtree,
                                                  const TopKQuery& query,

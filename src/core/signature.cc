@@ -18,9 +18,17 @@ constexpr double kPartialFill = 0.5;
 Sid SidOfPath(const std::vector<int>& path, size_t len, int M) {
   Sid sid = 0;
   for (size_t i = 0; i < len; ++i) {
-    sid = sid * static_cast<Sid>(M + 1) + static_cast<Sid>(path[i]);
+    sid = ChildSid(sid, static_cast<size_t>(path[i]), M);
   }
   return sid;
+}
+
+size_t PathOfSid(Sid sid, int M, int* path) {
+  const Sid base = static_cast<Sid>(M + 1);
+  size_t len = 0;
+  for (; sid != 0; sid /= base) path[len++] = static_cast<int>(sid % base);
+  std::reverse(path, path + len);
+  return len;
 }
 
 void Signature::SetPath(const std::vector<int>& path) {
@@ -30,7 +38,7 @@ void Signature::SetPath(const std::vector<int>& path) {
     size_t bit = static_cast<size_t>(path[l] - 1);
     while (node.size() <= bit) node.PushBit(false);
     node.Set(bit, true);
-    sid = sid * static_cast<Sid>(m_ + 1) + static_cast<Sid>(path[l]);
+    sid = ChildSid(sid, static_cast<size_t>(path[l]), m_);
   }
 }
 
@@ -47,19 +55,6 @@ void Signature::ClearPath(const std::vector<int>& path) {
     if (node.PopCount() > 0) return;  // still non-empty: stop
     nodes_.erase(it);
   }
-}
-
-bool Signature::TestPath(const std::vector<int>& path, size_t len) const {
-  Sid sid = 0;
-  for (size_t l = 0; l < len; ++l) {
-    auto it = nodes_.find(sid);
-    if (it == nodes_.end()) return false;
-    const BitVector& node = it->second.bits;
-    size_t bit = static_cast<size_t>(path[l] - 1);
-    if (bit >= node.size() || !node.Get(bit)) return false;
-    sid = sid * static_cast<Sid>(m_ + 1) + static_cast<Sid>(path[l]);
-  }
-  return true;
 }
 
 void Signature::Compress(size_t page_size) {
@@ -94,7 +89,7 @@ void Signature::Compress(size_t page_size) {
     compressed_bits_ += added;
     for (size_t i = 0; i < bits.size(); ++i) {
       if (!bits.Get(i)) continue;
-      Sid child = sid * static_cast<Sid>(m_ + 1) + static_cast<Sid>(i + 1);
+      Sid child = ChildSid(sid, i + 1, m_);
       if (nodes_.contains(child)) queue.push_back(child);
     }
     if (partial_bits >= budget_bits) {
@@ -102,11 +97,6 @@ void Signature::Compress(size_t page_size) {
       partial_bits = 0;
     }
   }
-}
-
-size_t Signature::PartialOf(Sid sid) const {
-  auto it = nodes_.find(sid);
-  return it == nodes_.end() ? SIZE_MAX : it->second.partial;
 }
 
 }  // namespace rankcube

@@ -67,10 +67,7 @@ SignatureCube::SignatureCube(const Table& table, IoSession& io,
         std::vector<Sid> present;
         for (const auto& [sid, node] : sig.nodes()) {
           for (size_t b = 0; b < node.bits.size(); ++b) {
-            if (node.bits.Get(b)) {
-              present.push_back(sid * static_cast<Sid>(M + 1) +
-                                static_cast<Sid>(b + 1));
-            }
+            if (node.bits.Get(b)) present.push_back(ChildSid(sid, b + 1, M));
           }
         }
         size_t bits = std::max<size_t>(
@@ -109,12 +106,114 @@ namespace {
 /// Pruner for a provably-empty cell: rejects everything.
 class EmptyCellPruner : public BooleanPruner {
  public:
-  bool MayContain(const std::vector<int>&, IoSession*, ExecStats*) override {
-    return false;
+  bool MayContain(Sid, IoSession*, ExecStats*) override { return false; }
+  bool Qualifies(Tid, Sid, IoSession*, ExecStats*) override { return false; }
+};
+
+/// Flat open-addressing set of SIDs (linear probing): a per-query memo
+/// that costs no heap allocation per insert.
+class SidSet {
+ public:
+  bool contains(Sid sid) const {
+    if (slots_.empty()) return false;
+    for (size_t i = Slot(sid);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == sid + 1) return true;
+      if (slots_[i] == 0) return false;
+    }
   }
-  bool Qualifies(Tid, const std::vector<int>&, IoSession*, ExecStats*) override {
-    return false;
+
+  void insert(Sid sid) {
+    if (2 * (size_ + 1) > slots_.size()) {  // keep the load under one half
+      std::vector<Sid> old(std::max<size_t>(64, 2 * slots_.size()), 0);
+      old.swap(slots_);
+      size_ = 0;
+      for (Sid key : old) {
+        if (key != 0) insert(key - 1);
+      }
+    }
+    for (size_t i = Slot(sid);; i = (i + 1) & (slots_.size() - 1)) {
+      if (slots_[i] == sid + 1) return;
+      if (slots_[i] == 0) {
+        slots_[i] = sid + 1;
+        ++size_;
+        return;
+      }
+    }
   }
+
+ private:
+  /// Fibonacci hashing: high bits of the golden-ratio product.
+  size_t Slot(Sid sid) const {
+    return static_cast<size_t>((sid * 0x9E3779B97F4A7C15ull) >> 32) &
+           (slots_.size() - 1);
+  }
+
+  std::vector<Sid> slots_;  ///< sid + 1; 0 = empty; size a power of two
+  size_t size_ = 0;
+};
+
+/// Boolean pruner backed by one or more cell signatures (assembled online
+/// for multi-predicate queries, §4.3.3); see MakePruner. Only the partial
+/// loads are timed into ExecStats::signature_ms.
+class SignaturePruner : public BooleanPruner {
+ public:
+  /// All source signatures must pass for a SID. The sources are cells of
+  /// one R-tree partition, so they share its M.
+  explicit SignaturePruner(std::vector<const Signature*> sources)
+      : sources_(std::move(sources)),
+        base_(static_cast<Sid>(sources_.front()->M() + 1)),
+        loaded_(sources_.size()) {}
+
+  bool MayContain(Sid sid, IoSession* io, ExecStats* stats) override {
+    if (!WalkAll(sid, io, stats)) return false;
+    admitted_.insert(sid);
+    return true;
+  }
+
+  bool Qualifies(Tid, Sid sid, IoSession* io, ExecStats* stats) override {
+    // Leaf-entry bits are per-tuple, so the AND over sources is exact here.
+    // An admitted leaf has its path's partials loaded and its ancestors'
+    // bits set, so only the entry's own bit is left to test.
+    const Sid leaf = sid / base_;
+    if (!admitted_.contains(leaf)) return WalkAll(sid, io, stats);
+    const int pos = static_cast<int>(sid % base_);
+    for (const Signature* sig : sources_) {
+      const Signature::NodeEntry* node = sig->Find(leaf);
+      if (node == nullptr || !node->Has(pos)) return false;
+    }
+    return true;
+  }
+
+ private:
+  /// Walks every source toward `sid`; false at the first zero bit.
+  bool WalkAll(Sid sid, IoSession* io, ExecStats* stats) {
+    for (size_t s = 0; s < sources_.size(); ++s) {
+      bool pass = sources_[s]->Walk(sid, [&](const Signature::NodeEntry& n) {
+        Load(s, n.partial, io, stats);
+      });
+      if (!pass) return false;
+    }
+    return true;
+  }
+
+  void Load(size_t src, size_t partial, IoSession* io, ExecStats* stats) {
+    if (partial == SIZE_MAX) return;  // not stored by the last Compress
+    std::vector<bool>& loaded = loaded_[src];
+    if (partial < loaded.size() && loaded[partial]) return;
+    if (partial >= loaded.size()) loaded.resize(partial + 1);
+    loaded[partial] = true;
+    Stopwatch watch;
+    io->Access(IoCategory::kSignature,
+               (static_cast<uint64_t>(src) << 48) ^ partial);
+    ++stats->signature_pages;
+    stats->signature_ms += watch.ElapsedMs();
+  }
+
+  std::vector<const Signature*> sources_;
+  Sid base_;  ///< M + 1
+  /// Per source, per partial: charged in this query.
+  std::vector<std::vector<bool>> loaded_;
+  SidSet admitted_;  ///< nodes MayContain passed
 };
 
 }  // namespace
@@ -282,40 +381,30 @@ Status SignatureCube::ApplyDelta(const DeltaStore& delta, IoSession* io) {
 
 namespace {
 
-/// §4.5 pruner: bloom tests on node paths (one-sided), exact verification
+/// §4.5 pruner: bloom tests on SIDs (one-sided), exact verification
 /// of candidate tuples against the base table.
 class LossyBloomPruner : public BooleanPruner {
  public:
-  LossyBloomPruner(const Table& table, std::vector<Predicate> preds,
-                   std::vector<const BloomFilter*> blooms, int M)
-      : table_(table), preds_(std::move(preds)), blooms_(std::move(blooms)),
-        m_(M) {}
+  LossyBloomPruner(const Table& table, const std::vector<Predicate>& preds,
+                   std::vector<const BloomFilter*> blooms)
+      : verify_(table, preds), blooms_(std::move(blooms)) {}
 
-  bool MayContain(const std::vector<int>& path, IoSession*, ExecStats*) override {
-    if (path.empty()) return true;
-    Sid sid = SidOfPath(path, path.size(), m_);
+  bool MayContain(Sid sid, IoSession*, ExecStats*) override {
+    if (sid == 0) return true;  // the root
     for (const auto* bloom : blooms_) {
       if (!bloom->MayContain(sid)) return false;
     }
     return true;
   }
 
-  bool Qualifies(Tid tid, const std::vector<int>& path, IoSession* io,
-                 ExecStats* stats) override {
-    if (!MayContain(path, io, stats)) return false;
+  bool Qualifies(Tid tid, Sid sid, IoSession* io, ExecStats* stats) override {
     // Bloom false positives make tuple-level bits unreliable; verify.
-    table_.ChargeRowFetch(io, tid);
-    for (const auto& p : preds_) {
-      if (table_.sel(tid, p.dim) != p.value) return false;
-    }
-    return true;
+    return MayContain(sid, io, stats) && verify_.Qualifies(tid, sid, io, stats);
   }
 
  private:
-  const Table& table_;
-  std::vector<Predicate> preds_;
+  TableVerifyPruner verify_;
   std::vector<const BloomFilter*> blooms_;
-  int m_;
 };
 
 }  // namespace
@@ -341,8 +430,7 @@ Result<std::vector<ScoredTuple>> SignatureCube::TopKLossy(
     NullPruner pruner;
     return RTreeBranchAndBoundTopK(table_, *rtree_, query, &pruner, io, stats);
   }
-  LossyBloomPruner pruner(table_, query.predicates, std::move(blooms),
-                          rtree_->max_entries());
+  LossyBloomPruner pruner(table_, query.predicates, std::move(blooms));
   return RTreeBranchAndBoundTopK(table_, *rtree_, query, &pruner, io, stats);
 }
 
@@ -377,44 +465,6 @@ size_t SignatureCube::BaselineBytes() const {
     }
   }
   return bytes;
-}
-
-// ------------------------------------------------------ SignaturePruner --
-
-void SignaturePruner::EnsureLoaded(size_t src, const std::vector<int>& path,
-                                   size_t len, IoSession* io,
-                                   ExecStats* stats) {
-  const Signature* sig = sources_[src];
-  Stopwatch watch;
-  const int M = sig->M();
-  for (size_t l = 0; l <= len; ++l) {
-    Sid sid = SidOfPath(path, l, M);
-    size_t partial = sig->PartialOf(sid);
-    if (partial == SIZE_MAX) continue;
-    auto key = std::make_pair(src, partial);
-    if (loaded_.insert(key).second) {
-      io->Access(IoCategory::kSignature,
-                    (static_cast<uint64_t>(src) << 48) ^ partial);
-      ++stats->signature_pages;
-    }
-  }
-  stats->signature_ms += watch.ElapsedMs();
-}
-
-bool SignaturePruner::MayContain(const std::vector<int>& node_path,
-                                 IoSession* io, ExecStats* stats) {
-  for (size_t s = 0; s < sources_.size(); ++s) {
-    EnsureLoaded(s, node_path, node_path.size(), io, stats);
-    if (!sources_[s]->TestPath(node_path)) return false;
-  }
-  return true;
-}
-
-bool SignaturePruner::Qualifies(Tid tid, const std::vector<int>& tuple_path,
-                                IoSession* io, ExecStats* stats) {
-  (void)tid;
-  // Leaf-entry bits are per-tuple, so the AND over sources is exact here.
-  return MayContain(tuple_path, io, stats);
 }
 
 }  // namespace rankcube

@@ -8,7 +8,6 @@
 #define RANKCUBE_CORE_SIGNATURE_CUBE_H_
 
 #include <memory>
-#include <set>
 #include <unordered_map>
 #include <vector>
 
@@ -58,6 +57,11 @@ class SignatureCube {
   ///  * ok(nullptr)  - no predicates: caller should use a NullPruner;
   ///  * ok(pruner)   - signature-backed pruner (empty-cell => prune-all);
   ///  * error        - a queried dimension has no cuboid.
+  /// The signature pruner walks each cell signature from the root with one
+  /// hash lookup per level and loads the partial signature of every node on
+  /// the way, charging each (cell, partial) once per query. It remembers
+  /// the nodes it admitted, so a tuple popped from an admitted leaf costs
+  /// one lookup and one bit test per cell.
   Result<std::unique_ptr<BooleanPruner>> MakePruner(
       const std::vector<Predicate>& predicates) const;
 
@@ -109,27 +113,6 @@ class SignatureCube {
   double construction_ms_ = 0.0;
   double rtree_build_ms_ = 0.0;
   uint64_t construction_pages_ = 0;
-};
-
-/// Boolean pruner backed by one or more cell signatures (assembled online
-/// for multi-predicate queries, §4.3.3). Charges partial-signature loads.
-class SignaturePruner : public BooleanPruner {
- public:
-  /// All source signatures must pass for a path.
-  explicit SignaturePruner(std::vector<const Signature*> sources)
-      : sources_(std::move(sources)) {}
-
-  bool MayContain(const std::vector<int>& node_path, IoSession* io,
-                  ExecStats* stats) override;
-  bool Qualifies(Tid tid, const std::vector<int>& tuple_path, IoSession* io,
-                 ExecStats* stats) override;
-
- private:
-  void EnsureLoaded(size_t src, const std::vector<int>& path, size_t len,
-                    IoSession* io, ExecStats* stats);
-
-  std::vector<const Signature*> sources_;
-  std::set<std::pair<size_t, size_t>> loaded_;  ///< (source, partial) pairs
 };
 
 }  // namespace rankcube

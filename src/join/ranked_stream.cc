@@ -7,62 +7,28 @@ CubeRankedStream::CubeRankedStream(const Table& table,
                                    RankingFunctionPtr function,
                                    std::unique_ptr<BooleanPruner> pruner,
                                    IoSession* io, ExecStats* stats)
-    : table_(table),
-      cube_(cube),
-      f_(std::move(function)),
-      eval_(table, *f_),
+    : f_(std::move(function)),
       pruner_(std::move(pruner)),
       io_(io),
-      stats_(stats) {
-  const RTree& rtree = cube_.rtree();
-  heap_.push({f_->LowerBound(rtree.node(rtree.root()).mbr), false,
-              rtree.root(), 0,
-              {}});
-}
+      stats_(stats),
+      heap_(table, cube.rtree(), *f_) {}
 
 bool CubeRankedStream::GetNext(Tid* tid, double* score) {
-  const RTree& rtree = cube_.rtree();
   while (!heap_.empty()) {
-    Entry e = heap_.top();
+    const SearchEntry e = heap_.top();
     heap_.pop();
     if (e.is_tuple) {
-      if (pruner_ == nullptr ||
-          pruner_->Qualifies(e.tid, e.path, io_, stats_)) {
-        *tid = e.tid;
+      if (pruner_ == nullptr || pruner_->Qualifies(e.id, e.sid, io_, stats_)) {
+        *tid = e.id;
         *score = e.score;
         return true;
       }
       continue;
     }
-    if (pruner_ != nullptr &&
-        !pruner_->MayContain(e.path, io_, stats_)) {
+    if (pruner_ != nullptr && !pruner_->MayContain(e.sid, io_, stats_)) {
       continue;
     }
-    const RTreeNode& node = rtree.node(e.node_id);
-    rtree.ChargeNodeAccess(io_, e.node_id);
-    if (node.is_leaf) {
-      ScoreLeafEntries(eval_, node, &leaf_tids_, &leaf_scores_, stats_);
-      for (size_t i = 0; i < node.entries.size(); ++i) {
-        Entry t;
-        t.score = leaf_scores_[i];
-        t.is_tuple = true;
-        t.tid = leaf_tids_[i];
-        t.path = e.path;
-        t.path.push_back(static_cast<int>(i) + 1);
-        heap_.push(std::move(t));
-      }
-    } else {
-      for (size_t i = 0; i < node.children.size(); ++i) {
-        Entry c;
-        c.score = f_->LowerBound(rtree.node(node.children[i]).mbr);
-        c.is_tuple = false;
-        c.node_id = node.children[i];
-        c.path = e.path;
-        c.path.push_back(static_cast<int>(i) + 1);
-        heap_.push(std::move(c));
-      }
-    }
-    stats_->MergeMax(heap_.size());
+    heap_.Expand(e, io_, stats_);
   }
   return false;
 }

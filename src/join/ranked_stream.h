@@ -8,7 +8,6 @@
 #define RANKCUBE_JOIN_RANKED_STREAM_H_
 
 #include <memory>
-#include <queue>
 #include <vector>
 
 #include "core/rtree_search.h"
@@ -42,25 +41,11 @@ class CubeRankedStream : public RankedStream {
   double BestPossibleNext() const override;
 
  private:
-  struct Entry {
-    double score;
-    bool is_tuple;
-    uint32_t node_id;
-    Tid tid;
-    std::vector<int> path;
-    bool operator>(const Entry& o) const { return score > o.score; }
-  };
-
-  const Table& table_;
-  const SignatureCube& cube_;
   RankingFunctionPtr f_;
-  kernels::BlockEvaluator eval_;  ///< fused leaf scoring (after f_: init order)
   std::unique_ptr<BooleanPruner> pruner_;
   IoSession* io_;
   ExecStats* stats_;
-  std::priority_queue<Entry, std::vector<Entry>, std::greater<>> heap_;
-  std::vector<Tid> leaf_tids_;      ///< batch scoring scratch
-  std::vector<double> leaf_scores_;
+  BestFirstHeap heap_;  ///< after f_: initialization order
 };
 
 /// Materialized stream: predicates evaluated up front (boolean-first), all

@@ -71,11 +71,11 @@ bool Dominates(const std::vector<double>& y, const std::vector<double>& x) {
 }
 
 struct HeapEntry {
-  double mindist;
-  uint64_t seq;
   BBSJournal::Entry entry;
+  uint64_t seq;
   bool operator>(const HeapEntry& o) const {
-    return mindist > o.mindist || (mindist == o.mindist && seq > o.seq);
+    return entry.score > o.entry.score ||
+           (entry.score == o.entry.score && seq > o.seq);
   }
 };
 
@@ -88,17 +88,16 @@ std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
                             const std::vector<BBSJournal::Entry>* seed) {
   Stopwatch watch;
   uint64_t pages_before = io->TotalPhysical();
+  const int M = rtree.max_entries();
 
   std::priority_queue<HeapEntry, std::vector<HeapEntry>, std::greater<>> heap;
   uint64_t seq = 0;
   if (seed != nullptr) {
-    for (const auto& e : *seed) heap.push({e.mindist, seq++, e});
+    for (const auto& e : *seed) heap.push({e, seq++});
   } else {
-    BBSJournal::Entry root;
-    root.mindist = transform.MinDist(rtree.node(rtree.root()).mbr);
-    root.is_tuple = false;
-    root.node_id = rtree.root();
-    heap.push({root.mindist, seq++, std::move(root)});
+    heap.push({{transform.MinDist(rtree.node(rtree.root()).mbr), 0,
+                rtree.root(), false},
+               seq++});
   }
 
   std::vector<Tid> skyline;
@@ -113,60 +112,52 @@ std::vector<Tid> BBSSkyline(const Table& table, const RTree& rtree,
   };
 
   while (!heap.empty()) {
-    HeapEntry he = heap.top();
+    const BBSJournal::Entry e = heap.top().entry;
     heap.pop();
-    BBSJournal::Entry& e = he.entry;
 
     if (e.is_tuple) {
-      transform.ApplyRow(table, e.tid, &probe);
+      transform.ApplyRow(table, e.id, &probe);
       if (dominated(probe)) {
-        if (journal) journal->dominated.push_back(std::move(e));
+        if (journal) journal->dominated.push_back(e);
         continue;
       }
-      if (pruner != nullptr &&
-          !pruner->Qualifies(e.tid, e.path, io, stats)) {
-        if (journal) journal->boolean_pruned.push_back(std::move(e));
+      if (pruner != nullptr && !pruner->Qualifies(e.id, e.sid, io, stats)) {
+        if (journal) journal->boolean_pruned.push_back(e);
         continue;
       }
-      skyline.push_back(e.tid);
+      skyline.push_back(e.id);
       sky_points.push_back(probe);
-      if (journal) journal->skyline.push_back(std::move(e));
+      if (journal) journal->skyline.push_back(e);
       continue;
     }
 
     // Node: dominance pruning against the box's best corner (Fig 7.1).
-    const RTreeNode& node = rtree.node(e.node_id);
+    const RTreeNode& node = rtree.node(e.id);
     transform.LowerCorner(node.mbr, &probe);
     if (dominated(probe)) {
-      if (journal) journal->dominated.push_back(std::move(e));
+      if (journal) journal->dominated.push_back(e);
       continue;
     }
-    if (pruner != nullptr && !pruner->MayContain(e.path, io, stats)) {
-      if (journal) journal->boolean_pruned.push_back(std::move(e));
+    if (pruner != nullptr && !pruner->MayContain(e.sid, io, stats)) {
+      if (journal) journal->boolean_pruned.push_back(e);
       continue;
     }
-    rtree.ChargeNodeAccess(io, e.node_id);
+    rtree.ChargeNodeAccess(io, e.id);
     if (node.is_leaf) {
       for (size_t i = 0; i < node.entries.size(); ++i) {
-        BBSJournal::Entry c;
         transform.Apply(node.entries[i].point.data(), &probe);
-        c.mindist = 0.0;
-        for (double v : probe) c.mindist += v;
-        c.is_tuple = true;
-        c.tid = node.entries[i].tid;
-        c.path = e.path;
-        c.path.push_back(static_cast<int>(i) + 1);
-        heap.push({c.mindist, seq++, std::move(c)});
+        double mindist = 0.0;
+        for (double v : probe) mindist += v;
+        heap.push({{mindist, ChildSid(e.sid, i + 1, M), node.entries[i].tid,
+                    true},
+                   seq++});
       }
     } else {
       for (size_t i = 0; i < node.children.size(); ++i) {
-        BBSJournal::Entry c;
-        c.mindist = transform.MinDist(rtree.node(node.children[i]).mbr);
-        c.is_tuple = false;
-        c.node_id = node.children[i];
-        c.path = e.path;
-        c.path.push_back(static_cast<int>(i) + 1);
-        heap.push({c.mindist, seq++, std::move(c)});
+        const uint32_t child = node.children[i];
+        heap.push({{transform.MinDist(rtree.node(child).mbr),
+                    ChildSid(e.sid, i + 1, M), child, false},
+                   seq++});
       }
     }
     stats->MergeMax(heap.size());

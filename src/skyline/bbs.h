@@ -42,15 +42,10 @@ class SkylineTransform {
   std::vector<double> q_;
 };
 
-/// Journal of a BBS run (heap re-construction for OLAP sessions).
+/// Journal of a BBS run (heap re-construction for OLAP sessions). An entry
+/// is an R-tree search candidate whose score is its mindist.
 struct BBSJournal {
-  struct Entry {
-    double mindist = 0.0;
-    bool is_tuple = false;
-    uint32_t node_id = 0;  ///< nodes
-    Tid tid = 0;           ///< tuples
-    std::vector<int> path;
-  };
+  using Entry = SearchEntry;
   std::vector<Entry> skyline;         ///< result tuples (as heap entries)
   std::vector<Entry> dominated;       ///< discarded by dominance pruning
   std::vector<Entry> boolean_pruned;  ///< discarded by the boolean pruner

@@ -6,33 +6,6 @@
 
 namespace rankcube {
 
-namespace {
-
-/// Verifies predicates by fetching the tuple (the "Ranking" configuration).
-class TableVerifyPruner : public BooleanPruner {
- public:
-  TableVerifyPruner(const Table& table, const std::vector<Predicate>& preds)
-      : table_(table), preds_(preds) {}
-
-  bool MayContain(const std::vector<int>&, IoSession*, ExecStats*) override {
-    return true;
-  }
-  bool Qualifies(Tid tid, const std::vector<int>&, IoSession* io,
-                 ExecStats*) override {
-    table_.ChargeRowFetch(io, tid);
-    for (const auto& p : preds_) {
-      if (table_.sel(tid, p.dim) != p.value) return false;
-    }
-    return true;
-  }
-
- private:
-  const Table& table_;
-  const std::vector<Predicate>& preds_;
-};
-
-}  // namespace
-
 SkylineEngine::SkylineEngine(const Table& table, IoSession& io)
     : table_(table), cube_(table, io), posting_(table) {}
 

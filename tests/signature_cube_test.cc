@@ -1,5 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <set>
+#include <stdexcept>
+#include <string>
+
 #include "baselines/baselines.h"
 #include "common/rng.h"
 #include "core/signature_cube.h"
@@ -193,23 +198,160 @@ TEST(SignatureCubeTest, LeafSplitsNeverLoseRowsUnderIncrementalInsert) {
   }
 }
 
+// A cell no row falls in is answered without touching a page: a value no
+// row holds (no atomic cell) and an absent combination of a materialized
+// two-dimension cuboid (no cell, though each value alone has one) both get
+// the prune-all pruner.
 TEST(SignatureCubeTest, EmptyCellShortCircuits) {
-  Table t = MakeData(500, 2, 3, 2);
+  TableSchema schema;
+  schema.sel_cardinality = {4, 3};
+  schema.num_rank_dims = 2;
+  Table t(schema);
+  Rng rng(77);
+  for (int i = 0; i < 500; ++i) {
+    auto a = static_cast<int32_t>(rng.UniformInt(3));  // A = 3: no row
+    auto b = static_cast<int32_t>(rng.UniformInt(3));
+    if (a == 1 && b == 1) b = 2;  // (A = 1, B = 1): no row
+    ASSERT_TRUE(t.AddRow({a, b}, {rng.Uniform01(), rng.Uniform01()}).ok());
+  }
+  PageStore store;
+  IoSession build_io{&store};
+  SignatureCubeOptions opt;
+  opt.cuboid_dim_sets = {{0}, {1}, {0, 1}};
+  SignatureCube cube(t, build_io, opt);
+
+  const std::vector<std::vector<Predicate>> empty_cells = {{{0, 3}},
+                                                           {{0, 1}, {1, 1}}};
+  for (const auto& preds : empty_cells) {
+    TopKQuery q;
+    q.predicates = preds;
+    q.function = std::make_shared<LinearFunction>(std::vector<double>{1, 1});
+    q.k = 10;
+    IoSession io{&store};
+    ExecStats stats;
+    auto res = cube.TopK(q, &io, &stats);
+    ASSERT_TRUE(res.ok()) << res.status().ToString();
+    EXPECT_TRUE(res->empty()) << q.ToString();
+    EXPECT_EQ(io.TotalPhysical(), 0u) << q.ToString();
+    EXPECT_EQ(stats.pages_read, 0u) << q.ToString();
+    EXPECT_EQ(stats.signature_pages, 0u) << q.ToString();
+  }
+}
+
+const Signature& AtomicCell(const SignatureCube& cube, const Predicate& p) {
+  for (const auto& cuboid : cube.cuboids()) {
+    if (cuboid.dims == std::vector<int>{p.dim}) {
+      return cuboid.sigs.at(CellKey{{p.value}, 0});
+    }
+  }
+  throw std::logic_error("no atomic cuboid");
+}
+
+void CollectTids(const RTree& rtree, uint32_t id, std::vector<Tid>* out) {
+  const RTreeNode& node = rtree.node(id);
+  for (const auto& e : node.entries) out->push_back(e.tid);
+  for (uint32_t child : node.children) CollectTids(rtree, child, out);
+}
+
+// For every R-tree node and leaf entry, one pruner's MayContain/Qualifies
+// answers equal a brute force over the table; fresh pruners check the full
+// walk and its charges. A source passes a node iff the node's subtree holds
+// a row of its cell, so a multi-source pruner ANDs per-source existence on
+// nodes and is exact on tuples.
+void ExpectPrunerMatchesBruteForce(const Table& t, const SignatureCube& cube,
+                                   const std::vector<Predicate>& preds) {
+  auto made = cube.MakePruner(preds);
+  ASSERT_TRUE(made.ok()) << made.status().ToString();
+  BooleanPruner& pruner = *made.value();
+  std::vector<const Signature*> sources;
+  for (const auto& p : preds) sources.push_back(&AtomicCell(cube, p));
+  auto fresh = [&] { return std::move(cube.MakePruner(preds).value()); };
+
+  const RTree& rtree = cube.rtree();
+  const int M = rtree.max_entries();
   PageStore store;
   IoSession io{&store};
-  SignatureCube cube(t, io);
-  TopKQuery q;
-  q.predicates = {{0, 2}, {1, 2}};
-  // Find a combination that doesn't exist; if it exists, skip.
-  bool exists = false;
-  for (Tid i = 0; i < t.num_rows(); ++i) {
-    if (t.sel(i, 0) == 2 && t.sel(i, 1) == 2) exists = true;
+  std::vector<Sid> prefix;  // root-to-node SIDs of the node being visited
+  auto visit = [&](auto&& self, uint32_t id, Sid sid) -> void {
+    prefix.push_back(sid);
+    std::vector<Tid> tids;
+    CollectTids(rtree, id, &tids);
+    // Brute force, and what a fresh pruner must charge: per source the
+    // distinct partials of the prefix's nodes, until a source fails.
+    bool may_contain = true;
+    std::set<std::pair<size_t, size_t>> charged;
+    for (size_t s = 0; s < preds.size() && may_contain; ++s) {
+      for (Sid p : prefix) {
+        size_t partial = sources[s]->PartialOf(p);
+        if (partial != SIZE_MAX) charged.emplace(s, partial);
+      }
+      may_contain = std::any_of(tids.begin(), tids.end(), [&](Tid tid) {
+        return t.sel(tid, preds[s].dim) == preds[s].value;
+      });
+    }
+    ExecStats stats;
+    EXPECT_EQ(pruner.MayContain(sid, &io, &stats), may_contain)
+        << "node SID " << sid;
+    ExecStats fresh_stats;
+    EXPECT_EQ(fresh()->MayContain(sid, &io, &fresh_stats), may_contain);
+    EXPECT_EQ(fresh_stats.signature_pages, charged.size()) << "node SID "
+                                                           << sid;
+
+    const RTreeNode& node = rtree.node(id);
+    for (size_t i = 0; i < node.entries.size(); ++i) {
+      const Tid tid = node.entries[i].tid;
+      const Sid tuple = ChildSid(sid, i + 1, M);
+      bool qualifies = std::all_of(preds.begin(), preds.end(), [&](auto& p) {
+        return t.sel(tid, p.dim) == p.value;
+      });
+      EXPECT_EQ(pruner.Qualifies(tid, tuple, &io, &stats), qualifies)
+          << "tuple SID " << tuple;
+      EXPECT_EQ(fresh()->Qualifies(tid, tuple, &io, &stats), qualifies)
+          << "tuple SID " << tuple << " (full walk)";
+    }
+    for (size_t i = 0; i < node.children.size(); ++i) {
+      self(self, node.children[i], ChildSid(sid, i + 1, M));
+    }
+    prefix.pop_back();
+  };
+  visit(visit, rtree.root(), 0);
+}
+
+// Pins the invariant the signature pruner's one-lookup-per-level walk
+// relies on: a bit of an internal node is set iff its child node exists.
+// M = 4 gives SIDs of several digits; the check runs on a one-source
+// (atomic cell) and a two-source (online assembly) pruner, before and
+// after an ApplyDelta whose inserts split leaves.
+TEST(SignatureCubeTest, PrunerMatchesBruteForceOnEveryNodeAndEntry) {
+  Table t = MakeData(400, 2, 4, 2, 19);
+  PageStore store;
+  IoSession io{&store};
+  SignatureCubeOptions opt;
+  opt.rtree_max_entries = 4;
+  SignatureCube cube(t, io, opt);
+  ASSERT_GE(cube.rtree().depth(), 4);
+
+  auto check = [&] {
+    for (int32_t v = 0; v < 4; ++v) {
+      SCOPED_TRACE("A = " + std::to_string(v));
+      ExpectPrunerMatchesBruteForce(t, cube, {{0, v}});
+      ExpectPrunerMatchesBruteForce(t, cube, {{0, v}, {1, (v + 1) % 4}});
+    }
+  };
+  check();
+
+  const size_t leaves = cube.rtree().num_leaves();
+  Rng rng(3);
+  for (int i = 0; i < 80; ++i) {
+    ASSERT_TRUE(t.Insert({static_cast<int32_t>(rng.UniformInt(4)),
+                          static_cast<int32_t>(rng.UniformInt(4))},
+                         {rng.Uniform01(), rng.Uniform01()})
+                    .ok());
   }
-  q.function = std::make_shared<LinearFunction>(std::vector<double>{1, 1});
-  ExecStats stats;
-  auto res = cube.TopK(q, &io, &stats);
-  ASSERT_TRUE(res.ok());
-  if (!exists) EXPECT_TRUE(res->empty());
+  for (Tid tid = 0; tid < 400; tid += 9) ASSERT_TRUE(t.Delete(tid).ok());
+  ASSERT_TRUE(cube.ApplyDelta(t.delta(), &io).ok());
+  ASSERT_GT(cube.rtree().num_leaves(), leaves);  // the inserts split leaves
+  check();
 }
 
 TEST(SignatureCubeTest, CompressedSmallerThanBaseline) {

@@ -20,12 +20,33 @@ const std::vector<std::vector<int>> kPaths = {
     {2, 2, 2},  // t8 (a3, b3)
 };
 
+// SID of a path in the running example (M = 2).
+Sid S(const std::vector<int>& path) {
+  return SidOfPath(path, path.size(), 2);
+}
+
 TEST(SidTest, PaperExample) {
   // §4.2.1: with M = 2, the path of node N3 is <1,1> and its SID is 4.
   EXPECT_EQ(SidOfPath({1, 1}, 2, 2), 4u);
   EXPECT_EQ(SidOfPath({}, 0, 2), 0u);   // root
   EXPECT_EQ(SidOfPath({1}, 1, 2), 1u);  // N1
   EXPECT_EQ(SidOfPath({2}, 1, 2), 2u);  // N2
+  EXPECT_EQ(ChildSid(S({1}), 1, 2), 4u);  // N3 is N1's first child
+}
+
+TEST(SidTest, PathOfSidInvertsSidOfPath) {
+  int path[kMaxSidDepth];
+  EXPECT_EQ(PathOfSid(0, 2, path), 0u);  // root
+  for (int M : {2, 4, 146}) {
+    Rng rng(static_cast<uint64_t>(M));
+    for (int i = 0; i < 200; ++i) {
+      std::vector<int> want(1 + rng.UniformInt(6));
+      for (int& p : want) p = 1 + static_cast<int>(rng.UniformInt(M));
+      Sid sid = SidOfPath(want, want.size(), M);
+      size_t len = PathOfSid(sid, M, path);
+      ASSERT_EQ(std::vector<int>(path, path + len), want) << "M=" << M;
+    }
+  }
 }
 
 TEST(SignatureTest, A1SignatureFromFigure43) {
@@ -34,16 +55,16 @@ TEST(SignatureTest, A1SignatureFromFigure43) {
   sig.SetPath(kPaths[0]);
   sig.SetPath(kPaths[2]);
   // Root: left child only.
-  EXPECT_TRUE(sig.TestPath({1}, 1));
-  EXPECT_FALSE(sig.TestPath({2}, 1));
+  EXPECT_TRUE(sig.Test(S({1})));
+  EXPECT_FALSE(sig.Test(S({2})));
   // N1: both children (N3 via t1, N4 via t3).
-  EXPECT_TRUE(sig.TestPath({1, 1}, 2));
-  EXPECT_TRUE(sig.TestPath({1, 2}, 2));
+  EXPECT_TRUE(sig.Test(S({1, 1})));
+  EXPECT_TRUE(sig.Test(S({1, 2})));
   // Leaf entries.
-  EXPECT_TRUE(sig.TestPath({1, 1, 1}));
-  EXPECT_FALSE(sig.TestPath({1, 1, 2}));
-  EXPECT_TRUE(sig.TestPath({1, 2, 1}));
-  EXPECT_FALSE(sig.TestPath({1, 2, 2}));
+  EXPECT_TRUE(sig.Test(S({1, 1, 1})));
+  EXPECT_FALSE(sig.Test(S({1, 1, 2})));
+  EXPECT_TRUE(sig.Test(S({1, 2, 1})));
+  EXPECT_FALSE(sig.Test(S({1, 2, 2})));
 }
 
 TEST(SignatureTest, ClearPathPropagatesEmptiness) {
@@ -51,9 +72,9 @@ TEST(SignatureTest, ClearPathPropagatesEmptiness) {
   sig.SetPath({1, 1, 1});
   sig.SetPath({1, 2, 1});
   sig.ClearPath({1, 1, 1});
-  EXPECT_FALSE(sig.TestPath({1, 1, 1}));
-  EXPECT_FALSE(sig.TestPath({1, 1}, 2));  // N3 branch emptied
-  EXPECT_TRUE(sig.TestPath({1, 2, 1}));   // sibling untouched
+  EXPECT_FALSE(sig.Test(S({1, 1, 1})));
+  EXPECT_FALSE(sig.Test(S({1, 1})));  // N3 branch emptied
+  EXPECT_TRUE(sig.Test(S({1, 2, 1})));  // sibling untouched
   sig.ClearPath({1, 2, 1});
   EXPECT_TRUE(sig.empty());  // everything propagated to the root
 }
@@ -61,21 +82,47 @@ TEST(SignatureTest, ClearPathPropagatesEmptiness) {
 TEST(SignatureTest, SetPathAfterClearRestores) {
   Signature sig(2);
   sig.SetPath({2, 1, 2});
-  EXPECT_TRUE(sig.TestPath({2, 1, 2}));
+  EXPECT_TRUE(sig.Test(S({2, 1, 2})));
   sig.ClearPath({2, 1, 2});
   EXPECT_TRUE(sig.empty());
   sig.SetPath({2, 1, 2});
-  EXPECT_TRUE(sig.TestPath({2, 1, 2}));
+  EXPECT_TRUE(sig.Test(S({2, 1, 2})));
 }
 
-TEST(SignatureTest, TestPathPrefixSemantics) {
+TEST(SignatureTest, TestPrefixSemantics) {
   Signature sig(2);
   sig.SetPath({1, 2, 1});
-  EXPECT_TRUE(sig.TestPath({1, 2, 1}, 0));  // empty prefix: trivially true
-  EXPECT_TRUE(sig.TestPath({1, 2, 1}, 1));
-  EXPECT_TRUE(sig.TestPath({1, 2, 1}, 2));
-  EXPECT_TRUE(sig.TestPath({1, 2, 1}, 3));
-  EXPECT_FALSE(sig.TestPath({1, 1, 1}, 2));
+  EXPECT_TRUE(sig.Test(S({})));  // the root: trivially true
+  EXPECT_TRUE(sig.Test(S({1})));
+  EXPECT_TRUE(sig.Test(S({1, 2})));
+  EXPECT_TRUE(sig.Test(S({1, 2, 1})));
+  EXPECT_FALSE(sig.Test(S({1, 1})));
+}
+
+// The walk the signature pruner loads partials along: every node on the
+// path, root first and the addressed node included, up to the first zero
+// bit; a tuple's SID names no node of its own.
+TEST(SignatureTest, WalkVisitsThePathRootFirst) {
+  Signature sig(2);
+  sig.SetPath({1, 2, 1});
+  sig.SetPath({1, 1, 2});
+  auto walk = [&](Sid sid, bool want) {
+    std::vector<const Signature::NodeEntry*> seen;
+    EXPECT_EQ(sig.Walk(sid, [&](const Signature::NodeEntry& node) {
+      seen.push_back(&node);
+    }), want);
+    return seen;
+  };
+  const auto* root = sig.Find(0);
+  const auto* n1 = sig.Find(S({1}));
+  const auto* n4 = sig.Find(S({1, 2}));
+  ASSERT_NE(n4, nullptr);
+  EXPECT_EQ(sig.Find(S({2})), nullptr);
+  EXPECT_EQ(walk(0, true), (std::vector{root}));
+  EXPECT_EQ(walk(S({1, 2}), true), (std::vector{root, n1, n4}));
+  EXPECT_EQ(walk(S({1, 2, 1}), true), (std::vector{root, n1, n4}));
+  EXPECT_EQ(walk(S({1, 2, 2}), false), (std::vector{root, n1, n4}));
+  EXPECT_EQ(walk(S({2, 1}), false), (std::vector{root}));
 }
 
 // Partials a compressed signature is cut into (indices are dense from 0).
