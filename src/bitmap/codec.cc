@@ -1,6 +1,7 @@
 #include "bitmap/codec.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -157,12 +158,125 @@ bool BuildRegion(const BitVector& arr, int M, CodecScheme scheme,
   return false;
 }
 
+// Every scheme, in the order the adaptive choice tries them.
+constexpr CodecScheme kSchemes[] = {
+    CodecScheme::kBaseline, CodecScheme::kPiSparse, CodecScheme::kPiDense,
+    CodecScheme::kRlSparse, CodecScheme::kRlDense,  CodecScheme::kPcSparse,
+    CodecScheme::kPcDense,
+};
+
+// What the coding regions of a node's schemes are sized by, from one pass
+// over its bits.
+struct NodeCounts {
+  int M = 2;
+  size_t pos_bits = 1;
+  size_t suffix_bits = 0;    // PC: position bits after the prefix
+  size_t len = 0;            // L: the bit-array length, not M
+  size_t last_one_plus_one = 0;
+  size_t ones = 0;
+  size_t zeros = 0;
+  size_t gap_bits = 0;       // RL sparse: a gamma code per one
+  size_t run_bits = 0;       // RL dense: a gamma code per zero-ended run
+  size_t one_prefixes = 0;   // PC sparse: groups of ones
+  size_t zero_prefixes = 0;  // PC dense: groups of zeros
+};
+
+NodeCounts CountNode(const BitVector& arr, int M) {
+  NodeCounts c;
+  c.M = M;
+  c.pos_bits = static_cast<size_t>(PosBits(M));
+  c.suffix_bits = c.pos_bits - static_cast<size_t>(PcPrefixLen(PosBits(M)));
+  c.len = arr.size();
+  size_t gap = 0;  // zeros since the last one
+  size_t run = 0;  // ones since the last zero
+  size_t one_prefix = SIZE_MAX;
+  size_t zero_prefix = SIZE_MAX;
+  for (size_t i = 0; i < c.len; ++i) {
+    // Positions come in order, and a prefix holds at most 2^suffix_bits of
+    // them, so each new prefix starts exactly one PC group.
+    const size_t prefix = i >> c.suffix_bits;
+    if (arr.Get(i)) {
+      ++c.ones;
+      c.last_one_plus_one = i + 1;
+      c.gap_bits += 2 * GammaValueBits(gap);
+      gap = 0;
+      ++run;
+      if (prefix != one_prefix) ++c.one_prefixes;
+      one_prefix = prefix;
+    } else {
+      ++c.zeros;
+      c.run_bits += 2 * GammaValueBits(run);
+      run = 0;
+      ++gap;
+      if (prefix != zero_prefix) ++c.zero_prefixes;
+      zero_prefix = prefix;
+    }
+  }
+  c.run_bits += 2 * GammaValueBits(run);  // ended by the artificial 0
+  return c;
+}
+
+// Length of the coding region BuildRegion builds for `scheme`, or 0 when the
+// scheme cannot represent the node.
+size_t RegionBits(const NodeCounts& c, CodecScheme scheme) {
+  switch (scheme) {
+    case CodecScheme::kBaseline:
+      return std::max<size_t>(1, c.last_one_plus_one);
+    case CodecScheme::kPiSparse:
+      return c.ones * c.pos_bits;
+    case CodecScheme::kPiDense:
+      return c.len == 0 ? 0 : (1 + c.zeros) * c.pos_bits;
+    case CodecScheme::kRlSparse:
+      return c.ones == 0 ? 0 : c.gap_bits;
+    case CodecScheme::kRlDense:
+      return c.len == 0 ? 0 : c.pos_bits + c.run_bits;
+    case CodecScheme::kPcSparse:
+      // Each group: prefix and count fields, then one suffix per position.
+      return c.one_prefixes * c.pos_bits + c.ones * c.suffix_bits;
+    case CodecScheme::kPcDense:
+      return c.len == 0 ? 0
+                        : c.pos_bits + c.zero_prefixes * c.pos_bits +
+                              c.zeros * c.suffix_bits;
+  }
+  return 0;
+}
+
+// EncodeNodeWith's length, its fallback to BL included.
+size_t NodeBitsOf(const NodeCounts& c, CodecScheme scheme) {
+  size_t region = RegionBits(c, scheme);
+  if (region == 0 || region > (size_t{1} << LenBits(c.M))) {
+    region = RegionBits(c, CodecScheme::kBaseline);
+  }
+  return NodeHeaderBits(c.M) + region;
+}
+
+// The adaptive code: the first scheme of kSchemes with the shortest code.
+struct AdaptiveChoice {
+  CodecScheme scheme = CodecScheme::kBaseline;
+  size_t bits = SIZE_MAX;
+};
+
+AdaptiveChoice ChooseScheme(const NodeCounts& c) {
+  AdaptiveChoice best;
+  for (CodecScheme s : kSchemes) {
+    const size_t bits = NodeBitsOf(c, s);
+    if (bits < best.bits) best = {s, bits};
+  }
+  return best;
+}
+
 }  // namespace
 
+size_t NodeBits(const BitVector& arr, int M, CodecScheme scheme) {
+  return NodeBitsOf(CountNode(arr, M), scheme);
+}
+
+size_t AdaptiveNodeBits(const BitVector& arr, int M) {
+  return ChooseScheme(CountNode(arr, M)).bits;
+}
+
 int Log2Ceil(uint64_t x) {
-  int b = 0;
-  while ((uint64_t{1} << b) < x) ++b;
-  return b;
+  return x <= 1 ? 0 : static_cast<int>(std::bit_width(x - 1));
 }
 
 size_t NodeHeaderBits(int M) { return 3 + LenBits(M); }
@@ -186,19 +300,7 @@ size_t EncodeNodeWith(const BitVector& arr, int M, CodecScheme scheme,
 }
 
 size_t EncodeNodeAdaptive(const BitVector& arr, int M, BitVector* out) {
-  static constexpr CodecScheme kAll[] = {
-      CodecScheme::kBaseline, CodecScheme::kPiSparse, CodecScheme::kPiDense,
-      CodecScheme::kRlSparse, CodecScheme::kRlDense,  CodecScheme::kPcSparse,
-      CodecScheme::kPcDense,
-  };
-  BitVector best;
-  for (CodecScheme s : kAll) {
-    BitVector candidate;
-    EncodeNodeWith(arr, M, s, &candidate);
-    if (best.empty() || candidate.size() < best.size()) best = candidate;
-  }
-  out->AppendVector(best);
-  return best.size();
+  return EncodeNodeWith(arr, M, ChooseScheme(CountNode(arr, M)).scheme, out);
 }
 
 Status DecodeNode(BitReader* reader, int M, BitVector* out) {

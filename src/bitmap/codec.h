@@ -13,6 +13,11 @@
 // the original array length (log2ceil(M) bits) so trailing 1s are
 // recoverable; the encoder appends the artificial trailing 0 required by the
 // dense run-length scheme (§4.2.2).
+//
+// The signature uses only the lengths: NodeBits and AdaptiveNodeBits compute
+// them from a node's ones, zeros and runs without building any encoding.
+// EncodeNodeWith, EncodeNodeAdaptive and DecodeNode serve tests: they are the
+// reference those lengths are checked against.
 #ifndef RANKCUBE_BITMAP_CODEC_H_
 #define RANKCUBE_BITMAP_CODEC_H_
 
@@ -43,8 +48,17 @@ int Log2Ceil(uint64_t x);
 size_t EncodeNodeWith(const BitVector& arr, int M, CodecScheme scheme,
                       BitVector* out);
 
-/// Encodes `arr` with whichever scheme is smallest (adaptive coding).
+/// Encodes `arr` with whichever scheme is smallest (adaptive coding): the
+/// scheme AdaptiveNodeBits sizes.
 size_t EncodeNodeAdaptive(const BitVector& arr, int M, BitVector* out);
+
+/// Number of bits EncodeNodeWith would append for `arr` (its fallback to
+/// BL included), from one pass over the bits and without allocating.
+size_t NodeBits(const BitVector& arr, int M, CodecScheme scheme);
+
+/// Number of bits EncodeNodeAdaptive would append: the smallest NodeBits
+/// over the schemes.
+size_t AdaptiveNodeBits(const BitVector& arr, int M);
 
 /// Decodes one node starting at reader position; the result always has M
 /// bits (semantic trailing bits are zero-padded). Returns non-OK on a

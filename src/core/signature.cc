@@ -82,8 +82,7 @@ void Signature::Compress(size_t page_size) {
     auto it = nodes_.find(sid);
     if (it == nodes_.end()) continue;
     const BitVector& bits = it->second.bits;
-    BitVector encoded;
-    size_t added = EncodeNodeAdaptive(bits, m_, &encoded);
+    const size_t added = AdaptiveNodeBits(bits, m_);
     it->second.partial = partial;
     partial_bits += added;
     compressed_bits_ += added;

@@ -4,9 +4,9 @@
 // by SID: the path <p0..p_{l-1}> maps to sum p_i (M+1)^(l-1-i) (§4.2.1).
 //
 // One form serves queries and storage accounting: each node keeps its bit
-// array and the partial signature that stores it. Compress() encodes the
-// nodes adaptively and cuts them, in BFS order, into page-sized partial
-// signatures (§4.2.2-§4.2.3).
+// array and the partial signature that stores it. Compress() sizes each
+// node's adaptive code and cuts the nodes, in BFS order, into page-sized
+// partial signatures (§4.2.2-§4.2.3).
 #ifndef RANKCUBE_CORE_SIGNATURE_H_
 #define RANKCUBE_CORE_SIGNATURE_H_
 
@@ -83,9 +83,10 @@ class Signature {
     return Walk(sid, [](const NodeEntry&) {});
   }
 
-  /// Encodes every node with the adaptive codec and cuts the BFS order into
-  /// partial signatures of half a page each (§4.2.3); records each node's
-  /// partial and the compressed and baseline (BL) sizes.
+  /// Sizes every node's adaptive code (AdaptiveNodeBits, without encoding)
+  /// and cuts the BFS order into partial signatures of half a page each
+  /// (§4.2.3); records each node's partial and the compressed and baseline
+  /// (BL) sizes.
   void Compress(size_t page_size);
 
   /// Partial holding `sid` at the last Compress (SIZE_MAX when the node is

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <tuple>
 
 #include "bitmap/bitvector.h"
@@ -188,6 +189,67 @@ TEST(CodecTest, EveryProperPrefixIsCorruption) {
           prefix.PushBit(full.Get(len));
         }
       }
+    }
+  }
+}
+
+// The signature sizes nodes by arithmetic alone (NodeBits, AdaptiveNodeBits),
+// so every length must be the one the encoder appends, fallbacks included,
+// and the adaptive choice must still decode to the node.
+TEST(CodecTest, ArithmeticLengthsMatchTheEncoder) {
+  static constexpr CodecScheme kAll[] = {
+      CodecScheme::kBaseline, CodecScheme::kPiSparse, CodecScheme::kPiDense,
+      CodecScheme::kRlSparse, CodecScheme::kRlDense,  CodecScheme::kPcSparse,
+      CodecScheme::kPcDense,
+  };
+  Rng rng(53);
+  auto check = [](const BitVector& arr, int M) {
+    size_t shortest = SIZE_MAX;
+    BitVector first_shortest;  // the adaptive code: first minimum in order
+    for (CodecScheme s : kAll) {
+      BitVector encoded;
+      const size_t encoded_bits = EncodeNodeWith(arr, M, s, &encoded);
+      ASSERT_EQ(NodeBits(arr, M, s), encoded_bits)
+          << "M=" << M << " scheme=" << static_cast<int>(s) << " "
+          << arr.ToString();
+      if (encoded_bits < shortest) {
+        shortest = encoded_bits;
+        first_shortest = encoded;
+      }
+    }
+    BitVector adaptive;
+    const size_t adaptive_bits = EncodeNodeAdaptive(arr, M, &adaptive);
+    ASSERT_EQ(AdaptiveNodeBits(arr, M), shortest) << arr.ToString();
+    ASSERT_EQ(adaptive_bits, shortest) << arr.ToString();
+    ASSERT_EQ(adaptive.ToString(), first_shortest.ToString())
+        << "M=" << M << " " << arr.ToString();
+    BitReader reader(adaptive);
+    BitVector decoded;
+    ASSERT_TRUE(DecodeNode(&reader, M, &decoded).ok()) << arr.ToString();
+    for (size_t i = 0; i < static_cast<size_t>(M); ++i) {
+      ASSERT_EQ(decoded.Get(i), i < arr.size() && arr.Get(i))
+          << "M=" << M << " bit " << i << " of " << arr.ToString();
+    }
+  };
+  for (int M : {2, 3, 4, 7, 32, 146, 204, 255}) {
+    for (size_t len = 0; len <= static_cast<size_t>(M); ++len) {
+      for (uint64_t density_pct : {0, 2, 10, 50, 90, 98, 100}) {
+        BitVector arr(len, false);
+        for (size_t i = 0; i < len; ++i) {
+          if (rng.UniformInt(100) < density_pct) arr.Set(i, true);
+        }
+        ASSERT_NO_FATAL_FAILURE(check(arr, M));
+      }
+      // Alternating runs of random lengths, starting with either value.
+      BitVector arr(len, false);
+      bool value = rng.UniformInt(2) == 1;
+      const uint64_t longest = 1 + rng.UniformInt(32);
+      for (size_t i = 0; i < len;) {
+        const size_t run = 1 + rng.UniformInt(longest);
+        for (size_t j = 0; j < run && i < len; ++j, ++i) arr.Set(i, value);
+        value = !value;
+      }
+      ASSERT_NO_FATAL_FAILURE(check(arr, M));
     }
   }
 }
