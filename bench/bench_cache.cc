@@ -49,7 +49,6 @@ struct Flags {
   double near_dup = 0.2;  ///< of the repeats, fraction with perturbed weights
   uint64_t pool = 20;     ///< distinct popular queries
   double zipf = 0.95;     ///< skew of the popularity distribution
-  double overfetch = 0;   ///< cache overfetch factor; 0 = library default
   int write_every = 800;  ///< one insert per this many queries
   uint64_t cache_mb = 64;
   uint64_t pages = 256;  ///< page-store LRU capacity (both databases)
@@ -81,8 +80,6 @@ Flags ParseFlags(int argc, char** argv) {
       f.pool = std::strtoull(v.c_str(), nullptr, 10);
     } else if (ParseFlag(argv[i], "--zipf=", &v)) {
       f.zipf = std::atof(v.c_str());
-    } else if (ParseFlag(argv[i], "--overfetch=", &v)) {
-      f.overfetch = std::atof(v.c_str());
     } else if (ParseFlag(argv[i], "--write_every=", &v)) {
       f.write_every = std::atoi(v.c_str());
     } else if (ParseFlag(argv[i], "--cache_mb=", &v)) {
@@ -332,7 +329,6 @@ int Main(int argc, char** argv) {
   base.store.read_latency_us = 100;
   RankCubeDb::Options cached_options = base;
   cached_options.cache.max_bytes = static_cast<size_t>(flags.cache_mb) << 20;
-  if (flags.overfetch > 0) cached_options.cache.overfetch = flags.overfetch;
 
   RankCubeDb uncached(GenerateSynthetic(spec), base);
   RankCubeDb cached(GenerateSynthetic(spec), cached_options);

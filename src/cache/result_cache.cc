@@ -14,10 +14,11 @@ size_t CachedResult::ApproxBytes() const {
 }
 
 ResultCache::ResultCache(ResultCacheOptions options)
-    : options_(options), max_bytes_(options.max_bytes) {
-  size_t n = options_.shards == 0 ? 1 : options_.shards;
-  shards_.reserve(n);
-  for (size_t i = 0; i < n; ++i) shards_.push_back(std::make_unique<Shard>());
+    : max_bytes_(options.max_bytes) {
+  shards_.reserve(kShards);
+  for (size_t i = 0; i < kShards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
+  }
 }
 
 ResultCache::Shard& ResultCache::ShardFor(const std::string& sibling_key) {

@@ -52,16 +52,6 @@ struct ResultCacheOptions {
   /// library default — existing callers keep deterministic page accounting
   /// unless they opt in).
   size_t max_bytes = 0;
-  /// Shard count (power of two); fixed at construction.
-  size_t shards = 16;
-  /// On a cacheable miss the query executes with k' = overfetch * k and
-  /// caches the deeper prefix, so near-duplicate functions have a
-  /// candidate set worth re-ranking. 1.0 = no overfetch. 1.5x already buys
-  /// the certification headroom near-duplicate reuse needs (the bound gap
-  /// F_k' - F_k dwarfs the tiny perturbation deltas worth certifying)
-  /// while keeping the miss penalty — the deeper execution — small;
-  /// deeper overfetch pays more per miss than the extra reuse recovers.
-  double overfetch = 1.5;
 };
 
 /// One cached answer: the top-k' prefix (ascending score) of the matching
@@ -102,6 +92,15 @@ struct ResultCacheStats {
 
 class ResultCache {
  public:
+  /// On a cacheable miss the query executes with k' = kOverfetch * k and
+  /// caches the deeper prefix, so near-duplicate functions have a
+  /// candidate set worth re-ranking. 1.5x already buys the certification
+  /// headroom near-duplicate reuse needs (the bound gap F_k' - F_k dwarfs
+  /// the tiny perturbation deltas worth certifying) while keeping the miss
+  /// penalty — the deeper execution — small; deeper overfetch pays more
+  /// per miss than the extra reuse recovers.
+  static constexpr double kOverfetch = 1.5;
+
   explicit ResultCache(ResultCacheOptions options = ResultCacheOptions());
 
   ResultCache(const ResultCache&) = delete;
@@ -110,7 +109,6 @@ class ResultCache {
   bool enabled() const {
     return max_bytes_.load(std::memory_order_relaxed) > 0;
   }
-  double overfetch() const { return options_.overfetch; }
 
   /// Exact hit: full key + identical epoch tag. Counts a hit and refreshes
   /// LRU on success; erases (and counts an invalidation for) a same-key
@@ -184,7 +182,8 @@ class ResultCache {
   /// Must hold shard.mu. Evicts LRU tail until the shard fits `budget`.
   void EvictLocked(Shard& shard, size_t budget);
 
-  ResultCacheOptions options_;
+  static constexpr size_t kShards = 16;
+
   std::atomic<size_t> max_bytes_;
   std::vector<std::unique_ptr<Shard>> shards_;
 

@@ -68,6 +68,14 @@ class Status {
   Code code() const { return code_; }
   const std::string& message() const { return message_; }
 
+  /// The same status with `prefix` put before its message (OK stays OK):
+  /// how a layer names where an error from below arose without changing
+  /// what the caller may do about it.
+  Status WithPrefix(const std::string& prefix) const {
+    if (ok()) return *this;
+    return Status(code_, prefix + message_);
+  }
+
   /// "OK" or "<code>: <message>"; for logs and test failure output.
   std::string ToString() const;
 

@@ -290,7 +290,7 @@ void ChargeCuboidBuild(const Table& table, IoSession& io,
 GridRankingCube::GridRankingCube(const Table& table, IoSession& io,
                                  GridCubeOptions options)
     : table_(table),
-      grid_(table, {.block_size = options.block_size, .min_bins = 1}),
+      grid_(table, {.block_size = options.block_size}),
       base_blocks_(table, grid_),
       block_size_(options.block_size),
       built_epoch_(table.epoch()) {

@@ -11,9 +11,8 @@ EquiDepthGrid::EquiDepthGrid(const Table& table, GridOptions options)
     : dims_(table.num_rank_dims()) {
   const double t = static_cast<double>(std::max<size_t>(1, table.num_rows()));
   const double p = static_cast<double>(std::max(1, options.block_size));
-  bins_ = std::max(options.min_bins,
+  bins_ = std::max(1,
                    static_cast<int>(std::round(std::pow(t / p, 1.0 / dims_))));
-  bins_ = std::max(1, bins_);
 
   boundaries_.resize(dims_);
   for (int d = 0; d < dims_; ++d) {

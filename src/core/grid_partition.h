@@ -18,7 +18,6 @@ using Bid = uint32_t;  ///< base block id
 
 struct GridOptions {
   int block_size = 300;  ///< P: expected tuples per base block (§3.5.1)
-  int min_bins = 1;
 };
 
 class EquiDepthGrid {

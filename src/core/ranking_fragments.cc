@@ -10,7 +10,7 @@ namespace rankcube {
 RankingFragments::RankingFragments(const Table& table, IoSession& io,
                                    FragmentsOptions options)
     : table_(table),
-      grid_(table, {.block_size = options.block_size, .min_bins = 1}),
+      grid_(table, {.block_size = options.block_size}),
       base_blocks_(table, grid_),
       block_size_(options.block_size),
       built_epoch_(table.epoch()) {

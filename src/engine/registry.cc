@@ -19,30 +19,27 @@ struct MergeBundle {
 };
 
 Result<std::unique_ptr<RankingEngine>> BuildIndexMerge(
-    const Table& table, IoSession& io, const EngineBuildOptions& opts) {
+    const Table& table, IoSession& io, const EngineBuildOptions& /*opts*/) {
   if (table.num_rank_dims() < 1) {
     return Status::InvalidArgument("index_merge needs ranking dimensions");
   }
   auto bundle = std::make_shared<MergeBundle>();
   std::vector<const MergeIndex*> raw;
   for (int d = 0; d < table.num_rank_dims(); ++d) {
-    bundle->btrees.push_back(std::make_unique<BTree>(
-        table, d, io, BTreeOptions{.fanout = opts.merge_btree_fanout}));
+    bundle->btrees.push_back(std::make_unique<BTree>(table, d, io));
     bundle->indices.push_back(
         std::make_unique<BTreeMergeIndex>(bundle->btrees.back().get(), d));
     raw.push_back(bundle->indices.back().get());
   }
+  // Progressive merge over one join-signature spanning every index.
   MergeOptions merge;
-  merge.mode = opts.merge_mode;
-  if (opts.merge_join_signature) {
-    bundle->signature = std::make_unique<JoinSignature>(raw);
-    merge.signatures = {bundle->signature.get()};
-    std::vector<int> all_positions;
-    for (size_t i = 0; i < raw.size(); ++i) {
-      all_positions.push_back(static_cast<int>(i));
-    }
-    merge.signature_positions = {all_positions};
+  bundle->signature = std::make_unique<JoinSignature>(raw);
+  merge.signatures = {bundle->signature.get()};
+  std::vector<int> all_positions;
+  for (size_t i = 0; i < raw.size(); ++i) {
+    all_positions.push_back(static_cast<int>(i));
   }
+  merge.signature_positions = {all_positions};
   return MakeIndexMergeEngine(table, std::move(raw), std::move(merge),
                               std::move(bundle));
 }

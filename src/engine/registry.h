@@ -25,7 +25,6 @@
 #include "core/ranking_fragments.h"
 #include "core/signature_cube.h"
 #include "engine/engine.h"
-#include "merge/index_merge.h"
 
 namespace rankcube {
 
@@ -40,10 +39,6 @@ struct EngineBuildOptions {
   /// Composite-index groups for rank_mapping; empty = one group spanning
   /// every selection dimension (§3.5.2).
   std::vector<std::vector<int>> rank_mapping_groups;
-
-  MergeOptions::Mode merge_mode = MergeOptions::Mode::kProgressive;
-  bool merge_join_signature = true;  ///< build + use one full join-signature
-  int merge_btree_fanout = 0;        ///< 0 = derive from page size
 };
 
 using EngineFactory = std::function<Result<std::unique_ptr<RankingEngine>>(

@@ -37,9 +37,7 @@ RTree::RTree(int dims, IoSession& io, RTreeOptions options)
           ? options.max_entries
           : std::max<int>(4, static_cast<int>(io.page_size() /
                                               (8 * dims + 4)));
-  min_entries_ = options.min_entries > 0
-                     ? options.min_entries
-                     : std::max(1, (max_entries_ * 2) / 5);
+  min_entries_ = std::max(1, (max_entries_ * 2) / 5);
   root_ = NewNode(/*is_leaf=*/true);
 }
 

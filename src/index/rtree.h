@@ -61,7 +61,6 @@ void ApplyRTreeDelta(RTree* rtree, const Table& table, const DeltaStore& delta,
 
 struct RTreeOptions {
   int max_entries = 0;  ///< M; 0 = derive from page size (§4.2.2 sizing)
-  int min_entries = 0;  ///< m; 0 = ceil(0.4 * M)
 };
 
 class RTree {
@@ -150,7 +149,7 @@ class RTree {
 
   int dims_;
   int max_entries_;
-  int min_entries_;
+  int min_entries_;  ///< m = 0.4 M, at least 1
   uint32_t root_;
   size_t num_tuples_ = 0;
   std::vector<RTreeNode> nodes_;

@@ -6,9 +6,14 @@
 #include "common/stopwatch.h"
 
 namespace rankcube {
+namespace {
 
-JoinSignature::JoinSignature(std::vector<const MergeIndex*> indices,
-                             JoinSignatureOptions options)
+constexpr size_t kPageBits = 4096 * 8;  ///< P: state-signature size budget
+constexpr int kMaxHashes = 8;           ///< k-bar of §5.3.1
+
+}  // namespace
+
+JoinSignature::JoinSignature(std::vector<const MergeIndex*> indices)
     : indices_(std::move(indices)) {
   Stopwatch watch;
   const size_t m = indices_.size();
@@ -69,10 +74,9 @@ JoinSignature::JoinSignature(std::vector<const MergeIndex*> indices,
     card *= static_cast<uint64_t>(bases_[i] + 1);
     if (card > (1ull << 40)) overflow = true;
   }
-  const size_t page_bits = options.page_size * 8;
   for (auto& [key, codes] : raw) {
     StateSig sig;
-    if (!overflow && card <= page_bits) {
+    if (!overflow && card <= kPageBits) {
       BitVector bits(static_cast<size_t>(card), false);
       for (uint64_t c : codes) bits.Set(static_cast<size_t>(c), true);
       sig.bits = std::move(bits);
@@ -80,11 +84,10 @@ JoinSignature::JoinSignature(std::vector<const MergeIndex*> indices,
     } else {
       size_t ne = codes.size();
       size_t b = std::min<size_t>(
-          page_bits,
-          static_cast<size_t>(std::ceil(options.max_hashes * ne /
-                                        std::log(2.0))));
+          kPageBits,
+          static_cast<size_t>(std::ceil(kMaxHashes * ne / std::log(2.0))));
       BloomFilter bloom(std::max<size_t>(64, b),
-                        BloomFilter::OptimalHashes(b, ne, options.max_hashes));
+                        BloomFilter::OptimalHashes(b, ne, kMaxHashes));
       for (uint64_t c : codes) bloom.Insert(c);
       sig.bits = std::move(bloom);
       sig.exact = false;

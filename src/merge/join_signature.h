@@ -19,16 +19,10 @@
 
 namespace rankcube {
 
-struct JoinSignatureOptions {
-  size_t page_size = 4096;  ///< P: state-signature size budget
-  int max_hashes = 8;       ///< k-bar of §5.3.1
-};
-
 class JoinSignature {
  public:
   /// Builds over the given indices (their order defines coordinate order).
-  JoinSignature(std::vector<const MergeIndex*> indices,
-                JoinSignatureOptions options = JoinSignatureOptions());
+  explicit JoinSignature(std::vector<const MergeIndex*> indices);
 
   size_t num_indices() const { return indices_.size(); }
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <thread>
 #include <utility>
 
 #include "common/stopwatch.h"
@@ -26,30 +25,6 @@ struct MergeTuple {
     return tid < o.tid;
   }
 };
-
-/// Re-raises `s` with a "partition '<name>': " prefix, preserving the code
-/// (the Status ctor taking a code is private to the factories).
-Status PartitionError(const std::string& name, const Status& s) {
-  const std::string msg = "partition '" + name + "': " + s.message();
-  switch (s.code()) {
-    case Status::Code::kInvalidArgument:
-      return Status::InvalidArgument(msg);
-    case Status::Code::kNotFound:
-      return Status::NotFound(msg);
-    case Status::Code::kNotSupported:
-      return Status::NotSupported(msg);
-    case Status::Code::kCorruption:
-      return Status::Corruption(msg);
-    case Status::Code::kOutOfRange:
-      return Status::OutOfRange(msg);
-    case Status::Code::kDeadlineExceeded:
-      return Status::DeadlineExceeded(msg);
-    case Status::Code::kResourceExhausted:
-      return Status::ResourceExhausted(msg);
-    default:
-      return Status::Internal(msg);
-  }
-}
 
 }  // namespace
 
@@ -128,15 +103,11 @@ Result<std::unique_ptr<PartitionedDb>> PartitionedDb::Open(Options options) {
         " but options ask for A" + std::to_string(db->options_.partition_dim));
   }
   for (const PartitionManifestEntry& e : m.partitions) {
-    RankCubeDb::Options popts = db->options_.db;
-    popts.durability = DurabilityOptions{};
-    popts.durability.data_dir = JoinPath(dir, e.name);
-    popts.durability.fsync = db->options_.fsync;
-    popts.durability.page_size = popts.store.page_size;
-    popts.durability.fs = fs;
-    auto opened =
-        RankCubeDb::Open(Table(db->options_.schema), std::move(popts));
-    if (!opened.ok()) return PartitionError(e.name, opened.status());
+    auto opened = RankCubeDb::Open(Table(db->options_.schema),
+                                   db->PartitionDbOptions(e.name));
+    if (!opened.ok()) {
+      return opened.status().WithPrefix("partition '" + e.name + "': ");
+    }
     auto part = std::make_unique<Part>();
     part->name = e.name;
     part->range = e.range;
@@ -176,6 +147,20 @@ const PartitionedDb::Part* PartitionedDb::FindLocked(
     if (part->name == name) return part.get();
   }
   return nullptr;
+}
+
+RankCubeDb::Options PartitionedDb::PartitionDbOptions(
+    const std::string& name) const {
+  RankCubeDb::Options popts = options_.db;
+  popts.cache = ResultCacheOptions{};
+  popts.durability = DurabilityOptions{};
+  if (durable()) {
+    popts.durability.data_dir = JoinPath(options_.data_dir, name);
+    popts.durability.fsync = options_.fsync;
+    popts.durability.page_size = popts.store.page_size;
+    popts.durability.fs = fs_;
+  }
+  return popts;
 }
 
 void PartitionedDb::RecomputeRankBox(Part* part) {
@@ -261,24 +246,18 @@ Status PartitionedDb::CreatePartitionLocked(const std::string& name,
   auto part = std::make_unique<Part>();
   part->name = name;
   part->range = range;
-  RankCubeDb::Options popts = options_.db;
-  popts.durability = DurabilityOptions{};
   if (durable()) {
-    const std::string sub = JoinPath(options_.data_dir, name);
-    RC_RETURN_IF_ERROR(fs_->CreateDir(sub));
+    RC_RETURN_IF_ERROR(fs_->CreateDir(JoinPath(options_.data_dir, name)));
     // Wipe whatever a crashed earlier create left here: recovering stale
     // rows into a partition the manifest never acknowledged would
     // resurrect data the caller believes gone.
     GcPartitionDir(name);
-    popts.durability.data_dir = sub;
-    popts.durability.fsync = options_.fsync;
-    popts.durability.page_size = popts.store.page_size;
-    popts.durability.fs = fs_;
-    auto opened = RankCubeDb::Open(std::move(seed), std::move(popts));
+    auto opened = RankCubeDb::Open(std::move(seed), PartitionDbOptions(name));
     if (!opened.ok()) return opened.status();
     part->db = std::move(opened).value();
   } else {
-    part->db = std::make_unique<RankCubeDb>(std::move(seed), popts);
+    part->db =
+        std::make_unique<RankCubeDb>(std::move(seed), PartitionDbOptions(name));
   }
   part->seq = next_seq_++;
   RecomputeRankBox(part.get());
@@ -387,7 +366,9 @@ Result<CompactionReport> PartitionedDb::Compact() {
   for (const auto& part : partitions_) {
     if (part->db->read_only()) continue;
     auto report = part->db->Compact();
-    if (!report.ok()) return PartitionError(part->name, report.status());
+    if (!report.ok()) {
+      return report.status().WithPrefix("partition '" + part->name + "': ");
+    }
     const CompactionReport& r = report.value();
     total.epoch = std::max(total.epoch, r.epoch);
     total.absorbed_inserts += r.absorbed_inserts;
@@ -409,28 +390,29 @@ Status PartitionedDb::Checkpoint() {
   for (const auto& part : partitions_) {
     if (!part->db->durable() || part->db->read_only()) continue;
     Status s = part->db->Checkpoint();
-    if (!s.ok()) return PartitionError(part->name, s);
+    if (!s.ok()) return s.WithPrefix("partition '" + part->name + "': ");
   }
   return Status::OK();
 }
 
-std::string PartitionedDb::EpochTagLocked(const TopKQuery& query) const {
-  bool pinned = false;
-  int32_t pin_value = 0;
-  for (const Predicate& p : query.predicates) {
-    if (p.dim == options_.partition_dim) {
-      pinned = true;
-      pin_value = p.value;
-      break;
-    }
+ScatterPlan PartitionedDb::PlanLocked(const TopKQuery& query) const {
+  std::vector<PartitionView> views;
+  views.reserve(partitions_.size());
+  for (const auto& part : partitions_) {
+    views.push_back({part->range, &part->rank_box, part->has_rows});
   }
+  return BuildScatterPlan(query, options_.partition_dim, views);
+}
+
+std::string PartitionedDb::EpochTagLocked(const TopKQuery& query) const {
   std::string tag;
   for (const auto& part : partitions_) {
-    // Statically excluded partitions (the same test BuildScatterPlan's
-    // predicate pruning applies) can never contribute to the answer, so
-    // their epochs stay out of the tag. Bound-pruned and empty partitions
-    // stay IN: a write there can change the answer.
-    if (pinned && !part->range.Contains(pin_value)) continue;
+    // A partition the key predicate excludes can never contribute to the
+    // answer, so its epoch stays out of the tag. Bound-pruned and empty
+    // partitions stay IN: a write there can change the answer.
+    if (KeyPredicateExcludes(query, options_.partition_dim, part->range)) {
+      continue;
+    }
     tag += std::to_string(part->seq) + ":" +
            std::to_string(part->db->table().epoch()) + ";";
   }
@@ -472,12 +454,7 @@ Result<PartitionedTopK> PartitionedDb::Query(const TopKQuery& query,
     }
   }
   Stopwatch watch;
-  std::vector<PartitionView> views;
-  views.reserve(partitions_.size());
-  for (const auto& part : partitions_) {
-    views.push_back({part->range, &part->rank_box, part->has_rows});
-  }
-  ScatterPlan plan = BuildScatterPlan(query, options_.partition_dim, views);
+  ScatterPlan plan = PlanLocked(query);
 
   PartitionedTopK out;
   out.scatter.partitions = partitions_.size();
@@ -485,70 +462,32 @@ Result<PartitionedTopK> PartitionedDb::Query(const TopKQuery& query,
   out.scatter.skipped_empty = plan.skipped_empty;
 
   const size_t k = static_cast<size_t>(query.k);
-  const size_t wave_max =
-      static_cast<size_t>(std::max(1, options_.scatter_threads));
   std::vector<MergeTuple> merged;
-  size_t cursor = 0;
   Status failure = Status::OK();
-  while (cursor < plan.candidates.size() && failure.ok()) {
-    const double s_k = merged.size() >= k ? merged[k - 1].score
-                                          : kInfScore;
-    // Form the next wave: candidates are bound-ascending, so the first one
-    // the full heap's S_k strictly beats ends both the wave and the query —
-    // every later candidate is at least as hopeless. So does the first
-    // +inf bound: no tuple of that partition can score finitely.
-    size_t end = cursor;
-    while (end < plan.candidates.size() && end - cursor < wave_max &&
-           plan.candidates[end].bound < kInfScore &&
-           !(merged.size() >= k && plan.candidates[end].bound > s_k)) {
-      ++end;
+  for (const PartitionCandidate& c : plan.candidates) {
+    // Candidates are bound-ascending, so the first one the full top-k's
+    // S_k strictly beats ends the gather: every later candidate is at
+    // least as hopeless. So does the first +inf bound: no tuple of that
+    // partition can score finitely.
+    if (!(c.bound < kInfScore) ||
+        (merged.size() >= k && c.bound > merged[k - 1].score)) {
+      break;
     }
-    if (end == cursor) break;
-
-    std::vector<Result<TopKResult>> results;
-    results.reserve(end - cursor);
-    for (size_t i = cursor; i < end; ++i) {
-      results.emplace_back(Status::Internal("not executed"));
+    const Part& part = *partitions_[c.index];
+    Result<TopKResult> r = part.db->Query(query, opts);
+    ++out.scatter.queried;
+    if (!r.ok()) {
+      failure = r.status().WithPrefix("partition '" + part.name + "': ");
+      break;
     }
-    auto run_one = [&](size_t slot) {
-      const Part& part = *partitions_[plan.candidates[cursor + slot].index];
-      results[slot] = part.db->Query(query, opts);
-    };
-    if (end - cursor == 1) {
-      run_one(0);
-    } else {
-      std::vector<std::thread> workers;
-      workers.reserve(end - cursor);
-      for (size_t slot = 0; slot < end - cursor; ++slot) {
-        workers.emplace_back(run_one, slot);
-      }
-      for (auto& w : workers) w.join();
-    }
-    for (size_t slot = 0; slot < end - cursor; ++slot) {
-      const size_t part_index = plan.candidates[cursor + slot].index;
-      const Part& part = *partitions_[part_index];
-      if (!results[slot].ok()) {
-        if (failure.ok()) {
-          failure = PartitionError(part.name, results[slot].status());
-        }
-        continue;
-      }
-      const TopKResult& r = results[slot].value();
-      // Sum the per-partition counters; wall time is measured around the
-      // whole scatter instead (waves overlap).
-      double wall = out.stats.time_ms;
-      out.stats += r.stats;
-      out.stats.time_ms = wall;
-      for (const ScoredTuple& t : r.tuples) {
-        merged.push_back({t.score, part.seq, t.tid, part_index});
-      }
+    out.stats += r.value().stats;
+    for (const ScoredTuple& t : r.value().tuples) {
+      merged.push_back({t.score, part.seq, t.tid, c.index});
     }
     std::sort(merged.begin(), merged.end());
     if (merged.size() > k) merged.resize(k);
-    out.scatter.queried += end - cursor;
-    cursor = end;
   }
-  out.scatter.pruned_by_bound = plan.candidates.size() - cursor;
+  out.scatter.pruned_by_bound = plan.candidates.size() - out.scatter.queried;
   out.stats.time_ms = watch.ElapsedMs();
 
   {
@@ -584,12 +523,7 @@ Result<std::string> PartitionedDb::ExplainScatter(
     const TopKQuery& query, const QueryOptions& opts) const {
   std::shared_lock<std::shared_mutex> lock(mu_);
   RC_RETURN_IF_ERROR(ValidateQuery(query, options_.schema));
-  std::vector<PartitionView> views;
-  views.reserve(partitions_.size());
-  for (const auto& part : partitions_) {
-    views.push_back({part->range, &part->rank_box, part->has_rows});
-  }
-  ScatterPlan plan = BuildScatterPlan(query, options_.partition_dim, views);
+  ScatterPlan plan = PlanLocked(query);
 
   // Candidate order index per partition (SIZE_MAX = not a candidate).
   std::vector<size_t> order(partitions_.size(), SIZE_MAX);

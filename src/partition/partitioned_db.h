@@ -17,10 +17,10 @@
 //   db->DropPartition("w0");       // O(1) retention: manifest commit + GC
 //
 // Query path: predicate ∩ partition bounds drops whole partitions before
-// any planning (pruning.h), survivors execute their own planner-routed
-// top-k in parallel waves ordered by best-possible score, and the merge
-// early-terminates once the global S_k strictly beats every remaining
-// partition's bound. Results are tuple-identical to running the same query
+// any planning (pruning.h); survivors are queried one at a time, in order
+// of best-possible score, each through its own planner-routed top-k, and
+// the gather stops at the first partition whose bound the merged S_k
+// strictly beats. Results are tuple-identical to running the same query
 // over one unpartitioned table holding the union of the rows (the
 // partition_test oracle), with the deterministic tie-break
 // (score, partition creation order, tid).
@@ -128,8 +128,9 @@ class PartitionedDb {
     /// Selection dimension whose values route rows to partitions.
     int partition_dim = 0;
     /// Per-partition database template (store geometry, engine set,
-    /// caches, feedback). `db.durability` is ignored — durable layout is
-    /// governed by `data_dir` below.
+    /// feedback). `db.durability` is ignored — durable layout is governed
+    /// by `data_dir` below — and so is `db.cache`: partitions keep no
+    /// result cache of their own, `cache` below is the db's only one.
     RankCubeDb::Options db;
     /// Root directory for durable mode; empty = ephemeral. Each partition
     /// lives in `data_dir`/<name>/ with its own manifest + WAL +
@@ -137,15 +138,13 @@ class PartitionedDb {
     std::string data_dir;
     FsyncPolicy fsync = FsyncPolicy::kBatch;
     Fs* fs = nullptr;  ///< nullptr = Fs::Posix() (FaultFs injectable)
-    /// Parallelism of the gather: candidates run in waves of this many
-    /// threads (1 = sequential, fully utilizing the bound-order early
-    /// termination; results are identical either way).
-    int scatter_threads = 4;
+    /// Ignored: the gather queries one partition at a time. The field
+    /// stays only because rcbench's window workload still assigns it.
+    int scatter_threads = 1;
     /// Scatter-level result cache (exact hits only; disabled by default).
     /// The epoch tag folds the (seq, epoch) of every partition the query's
     /// predicates could touch, so a write to one partition invalidates
-    /// only the entries whose answer could have read it. Inner
-    /// per-partition caches stay governed by `db.cache`.
+    /// only the entries whose answer could have read it.
     ResultCacheOptions cache;
   };
 
@@ -250,6 +249,10 @@ class PartitionedDb {
 
   explicit PartitionedDb(Options options);
 
+  /// The options partition `name` opens with: the `db` template with its
+  /// result cache off and, when durable, its own WAL and checkpoints under
+  /// `data_dir`/`name`.
+  RankCubeDb::Options PartitionDbOptions(const std::string& name) const;
   /// Must hold mu_ exclusively. Shared tail of the CreatePartition
   /// overloads.
   Status CreatePartitionLocked(const std::string& name, PartitionRange range,
@@ -264,6 +267,9 @@ class PartitionedDb {
 
   const Part* FindLocked(const std::string& name) const;
 
+  /// Must hold mu_ (shared suffices). Predicate pruning and bound order
+  /// over the live partitions, for both Query and ExplainScatter.
+  ScatterPlan PlanLocked(const TopKQuery& query) const;
   /// Must hold mu_ (shared suffices). The cache epoch tag for `query`:
   /// "seq:epoch;" of every partition whose range a predicate on the
   /// partition dimension does not statically exclude — membership changes

@@ -4,22 +4,22 @@
 
 namespace rankcube {
 
+bool KeyPredicateExcludes(const TopKQuery& query, int partition_dim,
+                          const PartitionRange& range) {
+  // Duplicate predicates are rejected by ValidateQuery, so the first match
+  // is the only one.
+  for (const Predicate& p : query.predicates) {
+    if (p.dim == partition_dim) return !range.Contains(p.value);
+  }
+  return false;
+}
+
 ScatterPlan BuildScatterPlan(const TopKQuery& query, int partition_dim,
                              const std::vector<PartitionView>& parts) {
   ScatterPlan plan;
-  // An equality predicate on the partitioning dimension, if any. Duplicate
-  // predicates are rejected by ValidateQuery, so the first match is the
-  // only one.
-  const Predicate* key_pred = nullptr;
-  for (const Predicate& p : query.predicates) {
-    if (p.dim == partition_dim) {
-      key_pred = &p;
-      break;
-    }
-  }
   for (size_t i = 0; i < parts.size(); ++i) {
     const PartitionView& v = parts[i];
-    if (key_pred != nullptr && !v.range.Contains(key_pred->value)) {
+    if (KeyPredicateExcludes(query, partition_dim, v.range)) {
       ++plan.pruned_by_predicate;
       continue;
     }

@@ -22,7 +22,8 @@
 //     so it must run.
 //
 // BuildScatterPlan computes (1) and the bound ordering for (2); the
-// executor in partitioned_db.cc applies the threshold test between waves.
+// gather in partitioned_db.cc applies the threshold test before it queries
+// each candidate.
 #ifndef RANKCUBE_PARTITION_PRUNING_H_
 #define RANKCUBE_PARTITION_PRUNING_H_
 
@@ -58,6 +59,13 @@ struct ScatterPlan {
   size_t pruned_by_predicate = 0;  ///< key range excluded by a predicate
   size_t skipped_empty = 0;        ///< no live rows ever; nothing to ask
 };
+
+/// Test (1): true when `query` has an equality predicate on
+/// `partition_dim` whose value `range` does not contain, so no row of that
+/// partition can match. Also decides which partitions' epochs a scatter
+/// cache entry depends on.
+bool KeyPredicateExcludes(const TopKQuery& query, int partition_dim,
+                          const PartitionRange& range);
 
 /// Static half of the scatter: predicate pruning + bound ordering.
 /// `partition_dim` is the selection dimension the ranges cover; the query

@@ -512,10 +512,7 @@ AccessStructureInfo PredictStructureInfo(const std::string& engine,
     info.supports_predicates = false;
     info.coverage = AccessStructureInfo::DimCoverage::kNone;
     info.num_cuboids = std::max(1, ts.num_rank_dims);
-    info.tree_fanout =
-        build.merge_btree_fanout > 0
-            ? build.merge_btree_fanout
-            : std::max(4, static_cast<int>(ts.page_size / 20));
+    info.tree_fanout = std::max(4, static_cast<int>(ts.page_size / 20));
   }
   // Anything else: an externally registered backend; keep the generic
   // entry (no cost model => force_engine only).

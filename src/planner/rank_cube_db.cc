@@ -394,16 +394,15 @@ Result<TopKResult> RankCubeDb::ExecuteQueryLocked(const TopKQuery& query,
     }
   }
 
-  // Full execution. A cacheable miss overfetches (k' = overfetch * k) so
+  // Full execution. A cacheable miss overfetches (k' = kOverfetch * k) so
   // the cached prefix doubles as the reuse candidate set; the caller is
   // still served exactly k. Overfetch is adaptive: only families the cache
   // has seen before pay the deeper execution — a one-off query would buy a
   // candidate set nobody ever re-ranks.
   TopKQuery exec_query = query;
-  if (cacheable && unconstrained && cache_.overfetch() > 1.0 &&
-      cache_.FamilySeen(key)) {
+  if (cacheable && unconstrained && cache_.FamilySeen(key)) {
     exec_query.k = std::max(
-        query.k, static_cast<int>(cache_.overfetch() *
+        query.k, static_cast<int>(ResultCache::kOverfetch *
                                   static_cast<double>(query.k)));
   }
   auto routed = Route(exec_query, opts);

@@ -254,10 +254,6 @@ int Main(int argc, char** argv) {
     popts.schema = base.schema();
     popts.partition_dim = f.partition_dim;
     popts.db = db_options;
-    // Partitioned serving caches merged results at the scatter-gather
-    // layer (per-partition epoch tags); per-partition caches would only
-    // duplicate the same entries.
-    popts.db.cache.max_bytes = 0;
     popts.cache.max_bytes = static_cast<size_t>(f.cache_mb) << 20;
     popts.data_dir = f.data_dir;
     popts.fsync = f.fsync;

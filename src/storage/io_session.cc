@@ -28,20 +28,8 @@ bool IoSession::AccountingHit(uint64_t cache_key) {
   if (accounting_.empty()) {
     accounting_.resize(store_->num_shards());
   }
-  AccountingShard& shard =
-      accounting_[PageStore::ShardHash(cache_key) % accounting_.size()];
-  auto it = shard.in_cache.find(cache_key);
-  if (it != shard.in_cache.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
-    return true;
-  }
-  shard.lru.push_front(cache_key);
-  shard.in_cache[cache_key] = shard.lru.begin();
-  if (shard.lru.size() > store_->shard_capacity()) {
-    shard.in_cache.erase(shard.lru.back());
-    shard.lru.pop_back();
-  }
-  return false;
+  return accounting_[PageStore::ShardHash(cache_key) % accounting_.size()]
+      .AdmitOrHit(cache_key, store_->shard_capacity());
 }
 
 void IoSession::SimulateWait(uint64_t pages) const {

@@ -25,9 +25,7 @@
 
 #include <array>
 #include <cstdint>
-#include <list>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "storage/page_store.h"
@@ -90,15 +88,10 @@ class IoSession {
   /// keep <thread> out of this header's hot path).
   void SimulateWait(uint64_t pages) const;
 
-  /// One private LRU shard mirroring PageStore::Shard, minus the mutex.
-  struct AccountingShard {
-    std::list<uint64_t> lru;
-    std::unordered_map<uint64_t, std::list<uint64_t>::iterator> in_cache;
-  };
-
   const PageStore* store_;
   std::array<IoStats, static_cast<int>(IoCategory::kNumCategories)> stats_{};
-  std::vector<AccountingShard> accounting_;  ///< sized lazily on first probe
+  /// The store's shards, minus the mutexes; sized lazily on first probe.
+  std::vector<PageLru> accounting_;
 };
 
 }  // namespace rankcube

@@ -29,6 +29,26 @@ const char* IoCategoryName(IoCategory cat) {
   }
 }
 
+bool PageLru::AdmitOrHit(uint64_t key, size_t capacity) {
+  auto it = in_cache_.find(key);
+  if (it != in_cache_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);  // refresh
+    return true;
+  }
+  lru_.push_front(key);
+  in_cache_[key] = lru_.begin();
+  if (lru_.size() > capacity) {
+    in_cache_.erase(lru_.back());
+    lru_.pop_back();
+  }
+  return false;
+}
+
+void PageLru::Clear() {
+  lru_.clear();
+  in_cache_.clear();
+}
+
 PageStore::PageStore(Options options) : options_(options) {
   size_t shards = options_.cache_shards > 0 ? options_.cache_shards : 1;
   // A shard needs at least one page of capacity to admit anything; with a
@@ -54,25 +74,13 @@ bool PageStore::AdmitOrHit(IoCategory cat, uint64_t key) const {
   CacheKey ck = MakeKey(cat, key);
   Shard& shard = ShardOf(ck);
   std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.in_cache.find(ck);
-  if (it != shard.in_cache.end()) {
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second);  // refresh
-    return true;
-  }
-  shard.lru.push_front(ck);
-  shard.in_cache[ck] = shard.lru.begin();
-  if (shard.lru.size() > shard_capacity_) {
-    shard.in_cache.erase(shard.lru.back());
-    shard.lru.pop_back();
-  }
-  return false;
+  return shard.lru.AdmitOrHit(ck, shard_capacity_);
 }
 
 void PageStore::ClearCache() const {
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    shard.lru.clear();
-    shard.in_cache.clear();
+    shard.lru.Clear();
   }
 }
 

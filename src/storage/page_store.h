@@ -74,6 +74,21 @@ struct IoStats {
   uint64_t device_hits() const { return logical - device; }
 };
 
+/// One LRU set of page keys, most recent first: a shard of the shared
+/// buffer cache, and the same shard of an IoSession's accounting copy of
+/// it. Not thread-safe; PageStore guards each of its shards with a mutex.
+class PageLru {
+ public:
+  /// True when `key` is held (it becomes the most recent). Otherwise admits
+  /// it, evicting the least recent key once more than `capacity` are held.
+  bool AdmitOrHit(uint64_t key, size_t capacity);
+  void Clear();
+
+ private:
+  std::list<uint64_t> lru_;
+  std::unordered_map<uint64_t, std::list<uint64_t>::iterator> in_cache_;
+};
+
 /// Immutable page geometry + thread-safe sharded LRU buffer cache. Shared
 /// by all structures over a dataset and by all concurrently running queries;
 /// all methods are safe to call from multiple threads.
@@ -157,11 +172,9 @@ class PageStore {
   }
 
  private:
-  /// One LRU shard; `mu` guards `lru` + `in_cache`. Most-recent at front.
   struct Shard {
-    std::mutex mu;
-    std::list<CacheKey> lru;
-    std::unordered_map<CacheKey, std::list<CacheKey>::iterator> in_cache;
+    std::mutex mu;  ///< guards lru
+    PageLru lru;
   };
 
   Shard& ShardOf(CacheKey key) const;

@@ -10,7 +10,8 @@
 //      are bit-identical (predicate order, first-child Add flattening) and
 //      nothing more;
 //  (d) the partitioned scatter cache invalidates per partition: a write to
-//      a partition the key's predicates exclude keeps the entry live;
+//      a partition the key's predicates exclude keeps the entry live, and
+//      a write to an empty or bound-pruned partition invalidates it;
 //  (e) the cache is safe under concurrent readers, writers and resizes
 //      (this test runs in the TSan CI job);
 //  (f) true-cost planner feedback drives the per-family EWMA correction to
@@ -23,9 +24,12 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "cache/feedback.h"
@@ -284,7 +288,6 @@ TEST(MaxAbsDiffTest, NeverUnderestimatesOnSampledPoints) {
 TEST(ResultCacheUnitTest, EpochTagsEvictionAndFamilyHistory) {
   ResultCacheOptions opts;
   opts.max_bytes = 4u << 20;
-  opts.shards = 4;
   ResultCache cache(opts);
   TopKQuery q =
       QueryBuilder().Where(0, 1).OrderByLinear({1.0, 2.0}).Limit(3).Build();
@@ -616,6 +619,92 @@ TEST(PartitionedCacheTest, WritesToExcludedPartitionsKeepEntriesLive) {
   ASSERT_FALSE(fresh.value().tuples.empty());
   EXPECT_EQ(fresh.value().tuples.front().score, 0.0);
   EXPECT_NE(fresh.value().tuples, still.value().tuples);
+}
+
+// A query without a predicate on the partition dimension depends on every
+// partition, even those the scatter never queries: a row inserted into an
+// empty partition, or into one the S_k bound pruned, can enter its answer.
+TEST(PartitionedCacheTest, WritesToEmptyAndBoundPrunedPartitionsInvalidate) {
+  TableSchema schema;
+  schema.sel_cardinality = {12, 4};
+  schema.num_rank_dims = 2;
+  PartitionedDb::Options popts;
+  popts.schema = schema;
+  popts.partition_dim = 0;
+  popts.cache.max_bytes = 4u << 20;
+  auto pdb = PartitionedDb::Open(std::move(popts)).value();
+
+  // "hot" rows score in [0.6, 1.0] under linear {1, 1}, "cold" rows in
+  // [1.6, 2.0], and "empty" holds none. The oracle is one unpartitioned
+  // db over the same rows, in partition creation order.
+  Table oracle_table(schema);
+  std::map<std::pair<std::string, Tid>, Tid> to_global;
+  Rng rng(53);
+  for (const auto& [name, lo, base] :
+       {std::tuple<std::string, int32_t, double>{"hot", 0, 0.3},
+        std::tuple<std::string, int32_t, double>{"cold", 4, 0.8}}) {
+    Table seed(schema);
+    for (int i = 0; i < 100; ++i) {
+      std::vector<int32_t> sel = {lo + static_cast<int32_t>(rng.UniformInt(4)),
+                                  static_cast<int32_t>(rng.UniformInt(4))};
+      std::vector<double> rank = {base + 0.2 * rng.Uniform01(),
+                                  base + 0.2 * rng.Uniform01()};
+      to_global[{name, static_cast<Tid>(seed.num_rows())}] =
+          static_cast<Tid>(oracle_table.num_rows());
+      ASSERT_TRUE(seed.AddRow(sel, rank).ok());
+      ASSERT_TRUE(oracle_table.AddRow(sel, rank).ok());
+    }
+    ASSERT_TRUE(pdb->CreatePartition(name, {lo, lo + 4}, std::move(seed)).ok());
+  }
+  ASSERT_TRUE(pdb->CreatePartition("empty", {8, 12}).ok());
+  RankCubeDb oracle(std::move(oracle_table));
+
+  TopKQuery q = QueryBuilder().OrderByLinear({1.0, 1.0}).Limit(5).Build();
+  QueryOptions scan;
+  scan.force_engine = "table_scan";
+  auto expect_oracle = [&](const PartitionedTopK& top) {
+    auto truth = oracle.Query(q, scan);
+    ASSERT_TRUE(truth.ok()) << truth.status().ToString();
+    std::vector<ScoredTuple> got;
+    for (const PartitionedTuple& t : top.tuples) {
+      auto it = to_global.find({t.partition, t.tid});
+      ASSERT_NE(it, to_global.end()) << t.partition << "/" << t.tid;
+      got.push_back({it->second, t.score});
+    }
+    EXPECT_EQ(got, truth.value().tuples);
+  };
+
+  auto first = pdb->Query(q);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  EXPECT_EQ(first.value().scatter.queried, 1u);
+  EXPECT_EQ(first.value().scatter.pruned_by_bound, 1u);
+  EXPECT_EQ(first.value().scatter.skipped_empty, 1u);
+  expect_oracle(first.value());
+  ASSERT_TRUE(pdb->Query(q).ok());
+  EXPECT_EQ(pdb->CacheStats().hits, 1u);
+
+  // Each row scores below every seeded row, so it must lead the answer.
+  uint64_t invalidations = 0;
+  for (const auto& [dim0, partition, score] :
+       {std::tuple<int32_t, std::string, double>{9, "empty", 0.2},
+        std::tuple<int32_t, std::string, double>{5, "cold", 0.1}}) {
+    SCOPED_TRACE("insert into " + partition);
+    const std::vector<double> rank = {score / 2, score / 2};
+    auto ref = pdb->Insert({dim0, 0}, rank);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    ASSERT_EQ(ref.value().partition, partition);
+    auto global = oracle.Insert({dim0, 0}, rank);
+    ASSERT_TRUE(global.ok()) << global.status().ToString();
+    to_global[{partition, ref.value().tid}] = global.value();
+
+    auto fresh = pdb->Query(q);
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_EQ(pdb->CacheStats().invalidations, ++invalidations);
+    EXPECT_EQ(pdb->CacheStats().hits, 1u);
+    ASSERT_FALSE(fresh.value().tuples.empty());
+    EXPECT_EQ(fresh.value().tuples.front().partition, partition);
+    expect_oracle(fresh.value());
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -28,6 +28,19 @@ TEST(StatusTest, AllCodesStringify) {
   EXPECT_EQ(Status::OutOfRange("x").ToString(), "OutOfRange: x");
 }
 
+TEST(StatusTest, WithPrefixKeepsTheCodeOfEveryFactory) {
+  for (const Status& s :
+       {Status::InvalidArgument("m"), Status::NotFound("m"),
+        Status::NotSupported("m"), Status::Corruption("m"),
+        Status::OutOfRange("m"), Status::DeadlineExceeded("m"),
+        Status::ResourceExhausted("m"), Status::Internal("m")}) {
+    Status prefixed = s.WithPrefix("partition 'w0': ");
+    EXPECT_EQ(prefixed.code(), s.code()) << s.ToString();
+    EXPECT_EQ(prefixed.message(), "partition 'w0': m");
+  }
+  EXPECT_TRUE(Status::OK().WithPrefix("partition 'w0': ").ok());
+}
+
 TEST(ResultTest, HoldsValue) {
   Result<int> r(7);
   ASSERT_TRUE(r.ok());

@@ -23,7 +23,7 @@ Table MakeData(uint64_t rows = 5000, int s = 3, int32_t c = 10, int r = 2,
 
 TEST(EquiDepthGridTest, BinCountFollowsFormula) {
   Table t = MakeData(4800, 3, 10, 2);
-  EquiDepthGrid grid(t, {.block_size = 300, .min_bins = 1});
+  EquiDepthGrid grid(t, {.block_size = 300});
   // b = (T/P)^(1/R) = 16^(1/2) = 4.
   EXPECT_EQ(grid.bins_per_dim(), 4);
   EXPECT_EQ(grid.num_blocks(), 16u);

@@ -75,7 +75,7 @@ struct Pair {
   std::map<std::pair<std::string, Tid>, Tid> to_global;
 };
 
-Pair MakePair(int num_partitions, uint64_t rows, int scatter_threads = 4) {
+Pair MakePair(int num_partitions, uint64_t rows) {
   SyntheticSpec spec;
   spec.num_rows = rows;
   spec.num_sel_dims = 3;
@@ -87,7 +87,6 @@ Pair MakePair(int num_partitions, uint64_t rows, int scatter_threads = 4) {
   PartitionedDb::Options popts;
   popts.schema = TestSchema();
   popts.partition_dim = 0;
-  popts.scatter_threads = scatter_threads;
   Pair pair;
   pair.pdb = PartitionedDb::Open(std::move(popts)).value();
 
@@ -305,7 +304,6 @@ TEST(PartitionPruningTest, ScoreBoundEarlyTerminationSkipsColdPartitions) {
   PartitionedDb::Options popts;
   popts.schema = schema;
   popts.partition_dim = 0;
-  popts.scatter_threads = 1;  // sequential: maximal early termination
   auto pdb = PartitionedDb::Open(std::move(popts)).value();
 
   Table oracle_table(schema);
@@ -336,8 +334,8 @@ TEST(PartitionPruningTest, ScoreBoundEarlyTerminationSkipsColdPartitions) {
   TopKQuery q = QueryBuilder().OrderByLinear({1.0, 1.0}).Limit(5).Build();
   auto r = pdb->Query(q);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
-  EXPECT_GE(r.value().scatter.pruned_by_bound, 1u);
-  EXPECT_LT(r.value().scatter.queried, 4u);
+  EXPECT_EQ(r.value().scatter.queried, 1u);
+  EXPECT_EQ(r.value().scatter.pruned_by_bound, 3u);
 
   QueryOptions oracle_opts;
   oracle_opts.force_engine = "table_scan";
